@@ -20,6 +20,7 @@ package analyzer
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -220,6 +221,8 @@ func (a *Analyzer) reduceUnit(u unit, cache PartialCache) *partial {
 			p.err = err
 			return p
 		}
+		p.events = slices.Grow(p.events, len(evs))
+		p.eaEvents = slices.Grow(p.eaEvents, len(evs))
 		for _, he := range evs {
 			ae := a.attribute(spec, he)
 			p.events = append(p.events, ae)
@@ -362,6 +365,13 @@ func (a *Analyzer) reduce(cfg Config) error {
 			return fmt.Errorf("analyzer: reducing events: %w", p.err)
 		}
 	}
+	var nev, nea int
+	for _, p := range parts {
+		nev += len(p.events)
+		nea += len(p.eaEvents)
+	}
+	a.Events = slices.Grow(a.Events, nev)
+	a.eaEvents = slices.Grow(a.eaEvents, nea)
 	for _, p := range parts {
 		a.merge(p)
 	}

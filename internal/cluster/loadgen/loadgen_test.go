@@ -23,8 +23,10 @@ func envInt(t *testing.T, key string, def int) int {
 
 // TestClusterSoak runs the full load harness — a 3-node cluster, a job
 // batch, and at least a thousand concurrent report queries — and
-// writes the outcome to BENCH_cluster.json at the repo root (the CI
-// cluster-soak job uploads it). Size with DSPROF_CLUSTER_QUERIES,
+// writes the outcome as JSON to the path in DSPROF_CLUSTER_BENCH (the
+// CI cluster-soak job points it at BENCH_cluster.json and uploads it),
+// or to a temporary directory when unset, so a plain test run leaves
+// the tree untouched. Size with DSPROF_CLUSTER_QUERIES,
 // DSPROF_CLUSTER_JOBS, DSPROF_CLUSTER_TRIPS, DSPROF_CLUSTER_CONC.
 func TestClusterSoak(t *testing.T) {
 	p := Params{
@@ -82,9 +84,9 @@ func TestClusterSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("..", "..", "..", "BENCH_cluster.json")
-	if p := os.Getenv("DSPROF_CLUSTER_BENCH"); p != "" {
-		path = p
+	path := os.Getenv("DSPROF_CLUSTER_BENCH")
+	if path == "" {
+		path = filepath.Join(t.TempDir(), "BENCH_cluster.json")
 	}
 	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ import (
 // goldenSet is one collect invocation of a three-way backend golden.
 type goldenSet struct {
 	name  string
-	clock bool
+	clock uint64 // clock-profiling interval in cycles; 0 = off
 	spec  string
 }
 
@@ -44,12 +44,12 @@ func TestFastPathGolden(t *testing.T) {
 	cfg.TLB.Entries = 8 // scaled-down TLB so DTLB events appear at this scale
 
 	counterSets := []goldenSet{
-		{"A", true, "+ecstall,20011,+ecrm,997"},
-		{"B", false, "+ecref,2003,+dtlbm,499"},
+		{"A", 900007, "+ecstall,20011,+ecrm,997"},
+		{"B", 0, "+ecref,2003,+dtlbm,499"},
 		// I$ misses alongside D$ read misses: the two event classes whose
 		// translated-block budgets are armed per-instruction and
 		// per-access respectively, in one run.
-		{"C", true, "+icm,61,+dcrm,757"},
+		{"C", 900007, "+icm,61,+dcrm,757"},
 	}
 	reports := []string{
 		"total", "functions", "pcs", "lines", "objects", "addrspace",
@@ -77,8 +77,8 @@ func TestFastPathGoldenNBody(t *testing.T) {
 	cfg.ECache.SizeBytes = 1 << 15 // 32 KB E$ so the small graph still misses it
 
 	counterSets := []goldenSet{
-		{"A", true, "+ecstall,2003,+ecrm,251"},
-		{"B", false, "+ecref,1009,+dtlbm,127"},
+		{"A", 900007, "+ecstall,2003,+ecrm,251"},
+		{"B", 0, "+ecref,1009,+dtlbm,127"},
 	}
 	reports := []string{
 		"total", "functions", "pcs", "lines", "objects", "addrspace",
@@ -88,6 +88,15 @@ func TestFastPathGoldenNBody(t *testing.T) {
 		"obj-timeline=main",
 	}
 	runThreeWayGolden(t, prog, input, cfg, counterSets, reports)
+
+	// The advisor loop's dense intervals, golden on their own (the
+	// analyzer merges only experiments sharing one clock interval). The
+	// E$-stall interval sits below the study machine's 384-cycle
+	// worst-case instruction cost, so the translated batch never gets an
+	// armed-event budget and counts every event exactly in the
+	// interpreter instead.
+	dense := []goldenSet{{"D", 9001, "+ecstall,211,+ecrm,31"}}
+	runThreeWayGolden(t, prog, input, cfg, dense, reports)
 }
 
 // runThreeWayGolden collects every counter set on the reference
@@ -105,8 +114,8 @@ func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machi
 				t.Fatal(err)
 			}
 			res, err := collect.Run(prog, collect.Options{
-				ClockProfile:        cs.clock,
-				ClockIntervalCycles: 900007,
+				ClockProfile:        cs.clock > 0,
+				ClockIntervalCycles: cs.clock,
 				Counters:            specs,
 				Machine:             &cfg,
 				Input:               input,

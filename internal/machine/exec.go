@@ -85,12 +85,12 @@ func (m *Machine) runBatch(limit uint64) (uint64, error) {
 	// aging, tick delivery and budget traps happen exactly as when the
 	// machine is stepped instruction by instruction.
 	if len(m.pending) > 0 || (m.ClockTickCycles > 0 && m.stats.Cycles >= m.nextTick) {
-		return 1, m.Step()
+		return m.stepFallback()
 	}
 	maxN := limit
 	if m.Cfg.MaxInstrs > 0 {
 		if m.stats.Instrs >= m.Cfg.MaxInstrs {
-			return 1, m.Step() // next step raises the budget trap
+			return m.stepFallback() // next step raises the budget trap
 		}
 		if rem := m.Cfg.MaxInstrs - m.stats.Instrs; rem < maxN {
 			maxN = rem
@@ -102,7 +102,7 @@ func (m *Machine) runBatch(limit uint64) (uint64, error) {
 	if mask := m.armed[hwc.EvInstrs]; mask != 0 {
 		r := m.counters[picOf(mask)].Remaining()
 		if r <= 1 {
-			return 1, m.Step()
+			return m.stepFallback()
 		}
 		if r-1 < maxN {
 			maxN = r - 1
@@ -121,88 +121,98 @@ func (m *Machine) runBatch(limit uint64) (uint64, error) {
 	if mask := m.armed[hwc.EvCycles]; mask != 0 {
 		r := m.counters[picOf(mask)].Remaining()
 		if r <= m.maxInstrCost {
-			return 1, m.Step()
+			return m.stepFallback()
 		}
 		if s := m.stats.Cycles + r - m.maxInstrCost; s < stop {
 			stop = s
 		}
 		breakOnSyscall = true
 	}
-	if m.backend == BackendTranslated {
-		// Armed-event budget: each armed memory/I$/TLB counter shrinks the
-		// horizon along the axis that bounds its event tightest. I$ misses
-		// fire at most once per instruction (every fetch probes the I$
-		// once), so they bound the instruction horizon maxN. The per-access
-		// events — D$ read misses, E$ references, E$ read misses, DTLB
-		// misses — fire at most once per data memory access, so they bound
-		// maxMem, the batch's memory-access budget (a translated block
-		// pre-counts its accesses; runMixed charges interpreter chunks one
-		// access per instruction). E$ stall cycles are a subset of the
-		// cycles the stalling instructions themselves retire, so an armed
-		// EvECStall counter tightens the cycle horizon exactly like an
-		// armed cycle counter — backed off by the worst-case instruction
-		// cost — rather than wasting 1/maxInstrCost of its headroom on
-		// every non-stalling instruction. Syscall service cycles never
-		// stall, so unlike EvCycles the bound needs no syscall break.
-		// Within these bounds no counter can overflow — not in a
-		// translated block, not in an interpreter chunk, not on a bail (a
-		// bailing access faults before touching TLB or cache; its fetch
-		// probe is covered by Headroom's reserved extra event) — so the
-		// whole batch counts armed events into evDelta and flushes once at
-		// the boundary. The overflowing event itself always lands on a
-		// single reference Step with exact trigger attribution and
-		// in-order skid draws.
-		maxMem := ^uint64(0)
-		for _, c := range m.counters {
-			if c == nil {
-				continue
-			}
-			switch c.Event {
-			case hwc.EvInstrs, hwc.EvCycles:
-				// Bounded by the instruction and cycle horizons above.
-			case hwc.EvECStall:
-				r := c.Remaining()
-				if r <= m.maxInstrCost {
-					return 1, m.Step()
-				}
-				if s := m.stats.Cycles + r - m.maxInstrCost; s < stop {
-					stop = s
-				}
-			case hwc.EvICMiss:
-				n, ok := c.Headroom(1)
-				if !ok {
-					return 1, m.Step()
-				}
-				if n < maxN {
-					maxN = n
-				}
-			default:
-				n, ok := c.Headroom(1)
-				if !ok {
-					return 1, m.Step()
-				}
-				if n < maxMem {
-					maxMem = n
-				}
-			}
-		}
+	var n uint64
+	var err error
+	if bn, maxMem, bstop, ok := m.armedBudget(maxN, stop); ok {
 		m.evBatch = true
-		n, err := m.runMixed(maxN, maxMem, stop, breakOnSyscall)
+		n, err = m.runMixed(bn, maxMem, bstop, breakOnSyscall)
 		m.evFlush()
-		if n == 0 && err == nil && !m.halted {
-			// The batch gave way immediately (syscall under a cycle-counter
-			// horizon): retire one instruction on the reference path.
-			return 1, m.Step()
-		}
-		return n, err
+	} else {
+		// No budget: runInner counts armed events inline at their exact
+		// instruction and stops on the first overflow, exactly as Step.
+		n, err = m.runInner(maxN, stop, breakOnSyscall)
 	}
-	n, err := m.runInner(maxN, stop, breakOnSyscall)
 	if n == 0 && err == nil && !m.halted {
 		// The loop gave way immediately (syscall under a cycle-counter
 		// horizon): retire one instruction on the reference path.
-		return 1, m.Step()
+		return m.stepFallback()
 	}
 	return n, err
+}
+
+// stepFallback retires one instruction on the reference stepper for
+// runBatch, counting it in stepFallbacks.
+func (m *Machine) stepFallback() (uint64, error) {
+	m.stepFallbacks++
+	return 1, m.Step()
+}
+
+// armedBudget computes the horizons of a translated batch from the
+// instruction and cycle horizons maxN and stop. ok is false on the fast
+// backend, and whenever an armed counter is too close to overflow to
+// cover even one worst-case instruction.
+//
+// Each armed memory/I$/TLB counter shrinks the horizon along the axis
+// that bounds its event tightest. I$ misses fire at most once per
+// instruction (every fetch probes the I$ once), so they bound the
+// instruction horizon n. The per-access events — D$ read misses, E$
+// references, E$ read misses, DTLB misses — fire at most once per data
+// memory access, so they bound maxMem, the batch's memory-access budget
+// (a translated block pre-counts its accesses; runMixed charges
+// interpreter chunks one access per instruction). E$ stall cycles are a
+// subset of the cycles the stalling instructions themselves retire, so
+// an armed EvECStall counter tightens the cycle horizon exactly like an
+// armed cycle counter — backed off by the worst-case instruction cost —
+// rather than wasting 1/maxInstrCost of its headroom on every
+// non-stalling instruction. Syscall service cycles never stall, so
+// unlike EvCycles the bound needs no syscall break. Within these bounds
+// no counter can overflow — not in a translated block, not in an
+// interpreter chunk, not on a bail (a bailing access faults before
+// touching TLB or cache; its fetch probe is covered by Headroom's
+// reserved extra event) — so the whole batch counts armed events into
+// evDelta and flushes once at the boundary.
+func (m *Machine) armedBudget(maxN, stop uint64) (n, maxMem, bstop uint64, ok bool) {
+	if m.backend != BackendTranslated {
+		return 0, 0, 0, false
+	}
+	n, maxMem, bstop = maxN, ^uint64(0), stop
+	for _, c := range m.counters {
+		if c == nil {
+			continue
+		}
+		switch c.Event {
+		case hwc.EvInstrs, hwc.EvCycles:
+			// Bounded by the instruction and cycle horizons already.
+		case hwc.EvECStall:
+			r := c.Remaining()
+			if r <= m.maxInstrCost {
+				return 0, 0, 0, false
+			}
+			if s := m.stats.Cycles + r - m.maxInstrCost; s < bstop {
+				bstop = s
+			}
+		case hwc.EvICMiss:
+			h, ok := c.Headroom(1)
+			if !ok {
+				return 0, 0, 0, false
+			}
+			n = min(n, h)
+		default:
+			h, ok := c.Headroom(1)
+			if !ok {
+				return 0, 0, 0, false
+			}
+			maxMem = min(maxMem, h)
+		}
+	}
+	return n, maxMem, bstop, true
 }
 
 // picOf maps a one-bit armed mask to its PIC number.

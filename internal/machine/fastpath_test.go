@@ -206,6 +206,7 @@ func TestFastPathEquivalence(t *testing.T) {
 			mustArm(t, m, 0, hwc.EvICMiss, 2)
 			mustArm(t, m, 1, hwc.EvDTLBMiss, 3)
 		}},
+		{"ecstall-dense", DefaultConfig, armECStallDense(t)},
 		{"clock", func() Config {
 			return DefaultConfig()
 		}, func(m *Machine) {
@@ -246,6 +247,42 @@ func TestFastPathEquivalence(t *testing.T) {
 				diffLogs(t, "RunFor/translated", ref, transSliced)
 			}
 		})
+	}
+}
+
+// armECStallDense arms the advisor loop's dense intervals and clock: an
+// E$-stall interval below maxInstrCost, so the translated batch never
+// gets an armed-event budget, next to E$ read misses every 31.
+func armECStallDense(t *testing.T) func(m *Machine) {
+	return func(m *Machine) {
+		m.ClockTickCycles = 9001
+		mustArm(t, m, 0, hwc.EvECStall, 211)
+		mustArm(t, m, 1, hwc.EvECRdMiss, 31)
+	}
+}
+
+// TestDenseIntervalStepShare checks that an exhausted armed-event
+// budget routes execution to the event-horizon interpreter, not the
+// reference stepper: under dense E$-stall arming only the instructions
+// that age pending overflows or deliver ticks may run on Step.
+func TestDenseIntervalStepShare(t *testing.T) {
+	for name, b := range map[string]Backend{"translated": BackendTranslated, "fast": BackendFast} {
+		m := build(t, DefaultConfig(), equivProg)
+		m.SetBackend(b)
+		m.SetTranslationHeat(1)
+		armECStallDense(t)(m)
+		if m.maxInstrCost <= 211 {
+			t.Fatalf("maxInstrCost = %d: the E$-stall interval no longer sits below it", m.maxInstrCost)
+		}
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		instrs := m.Stats().Instrs
+		share := float64(m.stepFallbacks) / float64(instrs)
+		t.Logf("%s: %d of %d instructions stepped (%.1f%%)", name, m.stepFallbacks, instrs, 100*share)
+		if share >= 0.10 {
+			t.Errorf("%s: stepped share %.1f%%, want < 10%%", name, 100*share)
+		}
 	}
 }
 

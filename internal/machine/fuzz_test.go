@@ -174,6 +174,11 @@ func FuzzBackendDifferential(f *testing.F) {
 	// Mixed-width same-offset stores and loads (the union aliasing shape):
 	// StW@128/LdW@129 and StX@0/LdX@1 also cross the misalignment path.
 	f.Add([]byte{3, 5, 11, 16, 9, 16, 12, 32, 10, 32, 11, 48, 9, 48, 12, 0, 10, 0, 16, 4})
+	// Dense E$-stall corpus: the advisor loop's E$ stall at 211 (below
+	// maxInstrCost) and E$ read misses at 31, clock on, so the translated
+	// batch never gets a budget and runs the exact inline-counting
+	// interpreter instead.
+	f.Add([]byte{6, 5, 208, 28, 9, 17, 11, 200, 9, 33, 17, 0, 10, 129, 12, 72, 14, 3, 16, 4})
 	seed := make([]byte, 120)
 	for i := range seed {
 		seed[i] = byte(i*37 + 11)

@@ -128,6 +128,9 @@ type Machine struct {
 	// Adds never fire and exact trigger attribution is never needed.
 	evBatch bool
 	evDelta [hwc.NumEvents]uint64
+	// stepFallbacks counts the instructions runBatch retired through its
+	// reference-Step fallbacks, so tests can bound the stepped share.
+	stepFallbacks uint64
 
 	// backend selects the execution engine behind Run/RunFor; the zero
 	// value is BackendTranslated. See translate.go.

@@ -28,7 +28,15 @@ import (
 //     budget in runBatch shrinks the horizon so no armed counter can
 //     overflow anywhere inside the batch, which is what lets a deferred
 //     delta stand in for exact per-event Adds: an Add that cannot
-//     overflow needs no trigger attribution and draws no skid.
+//     overflow needs no trigger attribution and draws no skid. When a
+//     counter is too close to overflow for any budget — an E$-stall
+//     counter within the worst-case instruction cost (384 cycles on the
+//     study machine: 40 divide + 12 I$ miss + 100 TLB miss + 14 E$ hit
+//     + 180 memory + 30 store miss + 8 writeback), or Headroom refusing
+//     an I$ or per-access counter — no translated code runs: the batch
+//     goes to runInner, which counts every armed event inline at its
+//     exact instruction and stops on the first overflow. At the advisor
+//     loop's dense intervals (ecstall 211) that is every batch.
 //  2. Horizon. A block is entered only when the remaining horizon covers
 //     its worst-case footprint — instructions (ninstr), cycles (wc), and
 //     memory accesses (nmem) — so the boundary flush can never overflow
