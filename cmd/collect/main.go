@@ -2,7 +2,7 @@
 // paper's collect(1):
 //
 //	collect [-o expt.er] [-p on|off] [-h +ecstall,lo,+ecrm,on]
-//	        [-prov on|off] [-scaled] [-backend translated|fast]
+//	        [-prov on|off] [-scaled]
 //	        [-cpuprofile host.pprof] [-memprofile heap.pprof]
 //	        [-input file] prog.obj
 //
@@ -66,6 +66,18 @@ func readInput(path string) ([]int64, error) {
 	return out, sc.Err()
 }
 
+// onOff parses an on|off flag value; anything else is a usage error, so
+// a misspelt value never silently turns a profiling mode off.
+func onOff(name, v string) (bool, error) {
+	switch v {
+	case "on":
+		return true, nil
+	case "off":
+		return false, nil
+	}
+	return false, cli.Usagef("%s %q: want on or off", name, v)
+}
+
 func main() {
 	cli.Main("collect", run)
 }
@@ -77,7 +89,6 @@ func run() error {
 	prov := flag.String("prov", "off", "allocation-site provenance recording: on or off")
 	inputPath := flag.String("input", "", "program input file (whitespace-separated integers)")
 	scaled := flag.Bool("scaled", false, "use the scaled machine configuration")
-	backend := flag.String("backend", "", "execution engine: translated (default) or fast")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the collection run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile of the collector at run end to this file")
 	flag.Parse()
@@ -89,15 +100,20 @@ func run() error {
 	if flag.NArg() != 1 {
 		return cli.Usagef("exactly one program object expected")
 	}
+	clockOn, err := onOff("-p", *clock)
+	if err != nil {
+		return err
+	}
+	provOn, err := onOff("-prov", *prov)
+	if err != nil {
+		return err
+	}
 	prog, err := asm.LoadFile(flag.Arg(0))
 	if err != nil {
 		return err
 	}
 	specs, err := collect.ParseCounterSpec(*counters)
 	if err != nil {
-		return cli.UsageError{Err: err}
-	}
-	if _, err := machine.ParseBackend(*backend); err != nil {
 		return cli.UsageError{Err: err}
 	}
 	var input []int64
@@ -118,13 +134,12 @@ func run() error {
 		return err
 	}
 	res, err := collect.Run(prog, collect.Options{
-		ClockProfile: *clock == "on",
+		ClockProfile: clockOn,
 		Counters:     specs,
 		Machine:      &cfg,
 		Input:        input,
 		SpoolDir:     *out,
-		Provenance:   *prov == "on",
-		Backend:      *backend,
+		Provenance:   provOn,
 		CPUProfile:   *cpuprofile,
 		MemProfile:   *memprofile,
 	})

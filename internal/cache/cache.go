@@ -139,7 +139,7 @@ func (c *Cache) HitMRU(addr uint64, write bool) bool {
 // with no state change — unless addr's line currently occupies ways[way].
 // On a hit it applies exactly the updates a full Access would, like
 // HitMRU but with a caller-remembered way instead of the MRU memo, so
-// per-site way caches (the translated backend's memory ops) can verify
+// per-site way caches (the translated engine's memory ops) can verify
 // and retire repeat hits inline. The way index is a performance hint
 // only: a stale one fails the tag compare and the caller falls back.
 func (c *Cache) WayHit(way int, addr uint64, write bool) bool {

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -482,15 +483,16 @@ long main() {
 }
 
 // TestCorpusProgramsDifferential compiles each corpus seed and requires
-// the reference stepper, the fast interpreter and the translated
-// backend to produce identical outputs and instruction counts.
+// the reference stepper, the batched engine with translation held off
+// (heat math.MaxUint32) and the batched engine translating every block
+// (heat 1) to produce identical outputs and instruction counts.
 func TestCorpusProgramsDifferential(t *testing.T) {
 	for _, c := range corpusPrograms {
 		prog, err := Compile([]Source{{Name: c.name + ".mc", Text: c.src}}, Options{Name: c.name, HWCProf: true})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", c.name, err)
 		}
-		run := func(backend machine.Backend, step bool) ([]int64, uint64) {
+		run := func(heat uint32, step bool) ([]int64, uint64) {
 			cfg := machine.DefaultConfig()
 			cfg.MaxInstrs = 10_000_000
 			m, err := machine.New(cfg)
@@ -500,8 +502,7 @@ func TestCorpusProgramsDifferential(t *testing.T) {
 			if err := m.LoadProgram(prog.Text, prog.Data, prog.Entry); err != nil {
 				t.Fatal(err)
 			}
-			m.SetBackend(backend)
-			m.SetTranslationHeat(1)
+			m.SetTranslationHeat(heat)
 			if step {
 				for !m.Halted() {
 					if err := m.Step(); err != nil {
@@ -513,14 +514,14 @@ func TestCorpusProgramsDifferential(t *testing.T) {
 			}
 			return m.OutputLongs(), m.Stats().Instrs
 		}
-		refOut, refN := run(machine.BackendFast, true)
-		fastOut, fastN := run(machine.BackendFast, false)
-		transOut, transN := run(machine.BackendTranslated, false)
+		refOut, refN := run(0, true)
+		interpOut, interpN := run(math.MaxUint32, false)
+		transOut, transN := run(1, false)
 		if len(refOut) == 0 {
 			t.Fatalf("%s: no output", c.name)
 		}
-		if !reflect.DeepEqual(refOut, fastOut) || refN != fastN {
-			t.Errorf("%s: step (%v, %d instrs) vs fast (%v, %d instrs)", c.name, refOut, refN, fastOut, fastN)
+		if !reflect.DeepEqual(refOut, interpOut) || refN != interpN {
+			t.Errorf("%s: step (%v, %d instrs) vs interpreter-only (%v, %d instrs)", c.name, refOut, refN, interpOut, interpN)
 		}
 		if !reflect.DeepEqual(refOut, transOut) || refN != transN {
 			t.Errorf("%s: step (%v, %d instrs) vs translated (%v, %d instrs)", c.name, refOut, refN, transOut, transN)

@@ -65,13 +65,6 @@ type Options struct {
 	// experiment is identical either way (the differential golden test
 	// asserts this); the option exists for that test and for debugging.
 	SingleStep bool
-	// Backend selects the batched execution engine: "" or "translated"
-	// (the default) runs hot superblocks as threaded code, "fast"
-	// forces the event-horizon interpreter alone. Ignored under
-	// SingleStep. The produced experiment is byte-identical across
-	// backends; the knob exists for benchmarking and for bisecting a
-	// suspected backend divergence in the field.
-	Backend string
 	// FS is the filesystem spooled writes go through; nil means the real
 	// filesystem. The fault-injection tests and the crash-point soak
 	// harness plug in faultfs.Injected / faultfs.Recorder here.
@@ -85,7 +78,7 @@ type Options struct {
 	// setup and experiment Save — to this host file. MemProfile writes a
 	// heap profile when the run ends. Both profile the collector itself
 	// (the host Go process), not the simulated target; they exist for
-	// performance work on the execution backends. CPU profiling is
+	// performance work on the execution engine. CPU profiling is
 	// process-global, so concurrent collects cannot both request it.
 	CPUProfile string
 	MemProfile string
@@ -256,11 +249,6 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 	if err := m.LoadProgram(prog.Text, prog.Data, prog.Entry); err != nil {
 		return nil, err
 	}
-	backend, err := machine.ParseBackend(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
-	m.SetBackend(backend)
 	m.SetInput(opts.Input)
 
 	maxBT := opts.MaxBacktrack

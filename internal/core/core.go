@@ -34,57 +34,18 @@ func Compile(name string, sources []cc.Source, opts *cc.Options) (*asm.Program, 
 }
 
 // CollectRun performs one profiled run, like a collect(1) invocation:
-// counterSpec uses the paper's syntax ("+ecstall,lo,+ecrm,on"), and
-// clockProfile corresponds to -p on.
-func CollectRun(prog *asm.Program, input []int64, cfg *machine.Config, clockProfile bool, counterSpec string) (*collect.Result, error) {
+// counterSpec uses the paper's -h syntax ("+ecstall,lo,+ecrm,on") and
+// replaces opts.Counters; opts carries everything else (clock
+// profiling and its interval, machine, input, provenance). The run
+// stops with the context's error as soon as ctx is cancelled, which is
+// how profiling services (internal/profd) bound each scheduled job.
+func CollectRun(ctx context.Context, prog *asm.Program, counterSpec string, opts collect.Options) (*collect.Result, error) {
 	specs, err := collect.ParseCounterSpec(counterSpec)
 	if err != nil {
 		return nil, err
 	}
-	return collect.Run(prog, collect.Options{
-		ClockProfile: clockProfile,
-		Counters:     specs,
-		Machine:      cfg,
-		Input:        input,
-	})
-}
-
-// CollectRunContext is CollectRun with job-level cancellation and an
-// explicit clock-profiling interval — the entry point profiling services
-// (internal/profd) use for each scheduled run. A zero clockTick picks
-// the collector's default.
-func CollectRunContext(ctx context.Context, prog *asm.Program, input []int64, cfg *machine.Config, clockProfile bool, clockTick uint64, counterSpec string) (*collect.Result, error) {
-	return CollectRunContextProv(ctx, prog, input, cfg, clockProfile, clockTick, counterSpec, false)
-}
-
-// CollectRunContextProv is CollectRunContext with allocation-site
-// provenance collection switchable: with provenance on, the run also
-// records every heap block's (site, instance, lifetime) into the
-// experiment's prov.pv2 shards, feeding the object-centric reports.
-// With it off the result is byte-identical to CollectRunContext.
-func CollectRunContextProv(ctx context.Context, prog *asm.Program, input []int64, cfg *machine.Config, clockProfile bool, clockTick uint64, counterSpec string, provenance bool) (*collect.Result, error) {
-	return CollectRunContextJob(ctx, prog, input, cfg, clockProfile, clockTick, counterSpec, provenance, "")
-}
-
-// CollectRunContextJob is CollectRunContextProv with the execution
-// backend selectable ("", "translated", or "fast" — see
-// machine.ParseBackend). Scheduled services pass a job's Backend field
-// through here; the experiment produced is byte-identical whichever
-// engine runs it.
-func CollectRunContextJob(ctx context.Context, prog *asm.Program, input []int64, cfg *machine.Config, clockProfile bool, clockTick uint64, counterSpec string, provenance bool, backend string) (*collect.Result, error) {
-	specs, err := collect.ParseCounterSpec(counterSpec)
-	if err != nil {
-		return nil, err
-	}
-	return collect.RunContext(ctx, prog, collect.Options{
-		ClockProfile:        clockProfile,
-		ClockIntervalCycles: clockTick,
-		Counters:            specs,
-		Machine:             cfg,
-		Input:               input,
-		Provenance:          provenance,
-		Backend:             backend,
-	})
+	opts.Counters = specs
+	return collect.RunContext(ctx, prog, opts)
 }
 
 // Analyze reduces one or more experiments.
@@ -101,14 +62,11 @@ func Analyze(exps ...*experiment.Experiment) (*analyzer.Analyzer, error) {
 // expected total cycles (0 picks conservative defaults).
 func ProfilePaperStyle(prog *asm.Program, input []int64, cfg *machine.Config, intervals PaperIntervals) (*analyzer.Analyzer, *collect.Result, *collect.Result, error) {
 	iv := intervals.withDefaults()
-	specsA, err := collect.ParseCounterSpec(fmt.Sprintf("+ecstall,%d,+ecrm,%d", iv.ECStall, iv.ECRdMiss))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	resA, err := collect.Run(prog, collect.Options{
+	ctx := context.Background()
+	specA := fmt.Sprintf("+ecstall,%d,+ecrm,%d", iv.ECStall, iv.ECRdMiss)
+	resA, err := CollectRun(ctx, prog, specA, collect.Options{
 		ClockProfile:        true,
 		ClockIntervalCycles: iv.ClockTick,
-		Counters:            specsA,
 		Machine:             cfg,
 		Input:               input,
 	})
@@ -116,7 +74,7 @@ func ProfilePaperStyle(prog *asm.Program, input []int64, cfg *machine.Config, in
 		return nil, nil, nil, fmt.Errorf("experiment A: %w", err)
 	}
 	specB := fmt.Sprintf("+ecref,%d,+dtlbm,%d", iv.ECRef, iv.DTLBMiss)
-	resB, err := CollectRun(prog, input, cfg, false, specB)
+	resB, err := CollectRun(ctx, prog, specB, collect.Options{Machine: cfg, Input: input})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("experiment B: %w", err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/cc"
+	"dsprof/internal/collect"
 	"dsprof/internal/hwc"
 	"dsprof/internal/machine"
 	"dsprof/internal/mcf"
@@ -300,14 +301,14 @@ func TestCollectRunSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := machine.ScaledConfig()
-	res, err := CollectRun(prog, nil, &cfg, true, "+ecrm,1009")
+	res, err := CollectRun(t.Context(), prog, "+ecrm,1009", collect.Options{ClockProfile: true, Machine: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Exp.Meta.ClockProfiling {
 		t.Error("clock profiling not enabled")
 	}
-	if _, err := CollectRun(prog, nil, &cfg, false, "nonsense,1"); err == nil {
+	if _, err := CollectRun(t.Context(), prog, "nonsense,1", collect.Options{Machine: &cfg}); err == nil {
 		t.Error("bad counter spec accepted")
 	}
 }
@@ -322,7 +323,7 @@ func TestAblationNoPaddingReducesValidation(t *testing.T) {
 	}
 	ins := mcf.Generate(mcf.DefaultGenParams(300, 7))
 	cfg := StudyMachine()
-	res, err := CollectRun(prog, ins.Encode(), &cfg, false, "+ecstall,20011")
+	res, err := CollectRun(t.Context(), prog, "+ecstall,20011", collect.Options{Machine: &cfg, Input: ins.Encode()})
 	if err != nil {
 		t.Fatal(err)
 	}

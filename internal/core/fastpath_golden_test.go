@@ -19,7 +19,7 @@ import (
 	"dsprof/internal/nbody"
 )
 
-// goldenSet is one collect invocation of a three-way backend golden.
+// goldenSet is one collect invocation of a two-way engine golden.
 type goldenSet struct {
 	name  string
 	clock uint64 // clock-profiling interval in cycles; 0 = off
@@ -27,10 +27,11 @@ type goldenSet struct {
 }
 
 // TestFastPathGolden is the differential golden test for the batched
-// execution engines: a full MCF collect — both of the paper's counter
+// execution engine: a full MCF collect — both of the paper's counter
 // sets, clock profiling on — run on the instruction-granular reference
-// stepper, the event-horizon interpreter ("fast"), and the
-// superblock-translating backend ("translated") must produce
+// stepper (collect.Options.SingleStep) and on the default engine
+// (translated superblocks for hot code, the event-horizon interpreter
+// for cold code and exhausted armed budgets) must produce
 // byte-identical experiment directories and byte-identical rendered
 // reports. Any drift in event streams, skid draws, cycle counts, or
 // attribution shows up as a file diff here.
@@ -58,14 +59,13 @@ func TestFastPathGolden(t *testing.T) {
 		"members=node", "callers=refresh_potential",
 		"obj-timeline=read_min",
 	}
-	runThreeWayGolden(t, prog, input, cfg, counterSets, reports)
+	runTwoWayGolden(t, prog, input, cfg, counterSets, reports)
 }
 
-// TestFastPathGoldenNBody is the same three-way golden over the second
+// TestFastPathGoldenNBody is the same two-way golden over the second
 // workload family: the n-body force-layout kernel, whose Q16.16 float
-// lowering and anonymous-union members must simulate identically on all
-// three engines. Byte-identical experiment directories here are what
-// let profd's ConfigHash keep excluding Backend for nbody jobs too.
+// lowering and anonymous-union members must simulate identically on
+// the reference stepper and the default engine.
 func TestFastPathGoldenNBody(t *testing.T) {
 	prog, err := nbody.Program(nbody.VariantBaseline, cc.Options{HWCProf: true})
 	if err != nil {
@@ -87,7 +87,7 @@ func TestFastPathGoldenNBody(t *testing.T) {
 		"members=lnode", "callers=force_pass",
 		"obj-timeline=main",
 	}
-	runThreeWayGolden(t, prog, input, cfg, counterSets, reports)
+	runTwoWayGolden(t, prog, input, cfg, counterSets, reports)
 
 	// The advisor loop's dense intervals, golden on their own (the
 	// analyzer merges only experiments sharing one clock interval). The
@@ -96,16 +96,15 @@ func TestFastPathGoldenNBody(t *testing.T) {
 	// armed-event budget and counts every event exactly in the
 	// interpreter instead.
 	dense := []goldenSet{{"D", 9001, "+ecstall,211,+ecrm,31"}}
-	runThreeWayGolden(t, prog, input, cfg, dense, reports)
+	runTwoWayGolden(t, prog, input, cfg, dense, reports)
 }
 
-// runThreeWayGolden collects every counter set on the reference
-// stepper, the fast interpreter and the translated backend, then
-// requires byte-identical experiment directories and byte-identical
-// renderings of every registered report.
-func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machine.Config, counterSets []goldenSet, reports []string) {
+// runTwoWayGolden collects every counter set on the reference stepper
+// and on the default engine, then requires byte-identical experiment
+// directories and byte-identical renderings of every registered report.
+func runTwoWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machine.Config, counterSets []goldenSet, reports []string) {
 	t.Helper()
-	collectPair := func(singleStep bool, backend string) ([]*experiment.Experiment, []string) {
+	collectAll := func(singleStep bool) ([]*experiment.Experiment, []string) {
 		var exps []*experiment.Experiment
 		var dirs []string
 		for _, cs := range counterSets {
@@ -120,11 +119,10 @@ func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machi
 				Machine:             &cfg,
 				Input:               input,
 				SingleStep:          singleStep,
-				Backend:             backend,
 				Provenance:          true,
 			})
 			if err != nil {
-				t.Fatalf("collect %s (singleStep=%v, backend=%q): %v", cs.name, singleStep, backend, err)
+				t.Fatalf("collect %s (singleStep=%v): %v", cs.name, singleStep, err)
 			}
 			// Pin the only intentionally non-deterministic field so the
 			// directories can be compared byte for byte.
@@ -139,15 +137,12 @@ func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machi
 		return exps, dirs
 	}
 
-	refExps, refDirs := collectPair(true, "")
-	fastExps, fastDirs := collectPair(false, "fast")
-	transExps, transDirs := collectPair(false, "translated")
+	refExps, refDirs := collectAll(true)
+	engExps, engDirs := collectAll(false)
 
-	// 1. The saved experiment directories must be byte-identical across
-	// all three engines.
+	// 1. The saved experiment directories must be byte-identical.
 	for i := range refDirs {
-		compareDirs(t, counterSets[i].name+"/fast", refDirs[i], fastDirs[i])
-		compareDirs(t, counterSets[i].name+"/translated", refDirs[i], transDirs[i])
+		compareDirs(t, counterSets[i].name, refDirs[i], engDirs[i])
 	}
 
 	// 2. Every registered report rendered from the merged pair must be
@@ -156,11 +151,7 @@ func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machi
 	if err != nil {
 		t.Fatal(err)
 	}
-	fastA, err := Analyze(fastExps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transA, err := Analyze(transExps...)
+	engA, err := Analyze(engExps...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,21 +166,15 @@ func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machi
 		}
 	}
 	for _, rep := range reports {
-		var refBuf, fastBuf, transBuf bytes.Buffer
+		var refBuf, engBuf bytes.Buffer
 		if err := refA.Render(&refBuf, rep, analyzer.RenderOpts{}); err != nil {
 			t.Fatalf("render %q (reference): %v", rep, err)
 		}
-		if err := fastA.Render(&fastBuf, rep, analyzer.RenderOpts{}); err != nil {
-			t.Fatalf("render %q (fast): %v", rep, err)
+		if err := engA.Render(&engBuf, rep, analyzer.RenderOpts{}); err != nil {
+			t.Fatalf("render %q (engine): %v", rep, err)
 		}
-		if err := transA.Render(&transBuf, rep, analyzer.RenderOpts{}); err != nil {
-			t.Fatalf("render %q (translated): %v", rep, err)
-		}
-		if !bytes.Equal(refBuf.Bytes(), fastBuf.Bytes()) {
-			t.Errorf("report %q differs between reference and fast path", rep)
-		}
-		if !bytes.Equal(refBuf.Bytes(), transBuf.Bytes()) {
-			t.Errorf("report %q differs between reference and translated backend", rep)
+		if !bytes.Equal(refBuf.Bytes(), engBuf.Bytes()) {
+			t.Errorf("report %q differs between reference and engine", rep)
 		}
 	}
 
@@ -208,15 +193,15 @@ func runThreeWayGolden(t *testing.T, prog *asm.Program, input []int64, cfg machi
 }
 
 // compareDirs byte-compares every file in two directory trees.
-func compareDirs(t *testing.T, label, refDir, fastDir string) {
+func compareDirs(t *testing.T, label, refDir, engDir string) {
 	t.Helper()
 	refFiles := listFiles(t, refDir)
-	fastFiles := listFiles(t, fastDir)
+	engFiles := listFiles(t, engDir)
 	if len(refFiles) == 0 {
 		t.Fatalf("%s: reference experiment directory is empty", label)
 	}
-	if fmt.Sprint(refFiles) != fmt.Sprint(fastFiles) {
-		t.Fatalf("%s: file sets differ: %v vs %v", label, refFiles, fastFiles)
+	if fmt.Sprint(refFiles) != fmt.Sprint(engFiles) {
+		t.Fatalf("%s: file sets differ: %v vs %v", label, refFiles, engFiles)
 	}
 	for _, rel := range refFiles {
 		if rel == "program.obj" {
@@ -228,11 +213,11 @@ func compareDirs(t *testing.T, label, refDir, fastDir string) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fastP, err := asm.LoadFile(filepath.Join(fastDir, rel))
+			engP, err := asm.LoadFile(filepath.Join(engDir, rel))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(refP, fastP) {
+			if !reflect.DeepEqual(refP, engP) {
 				t.Errorf("%s: %s decodes to different programs", label, rel)
 			}
 			continue
@@ -241,13 +226,13 @@ func compareDirs(t *testing.T, label, refDir, fastDir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fastB, err := os.ReadFile(filepath.Join(fastDir, rel))
+		engB, err := os.ReadFile(filepath.Join(engDir, rel))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(refB, fastB) {
-			t.Errorf("%s: %s differs between reference and fast path (%d vs %d bytes)",
-				label, rel, len(refB), len(fastB))
+		if !bytes.Equal(refB, engB) {
+			t.Errorf("%s: %s differs between reference and engine (%d vs %d bytes)",
+				label, rel, len(refB), len(engB))
 		}
 	}
 }

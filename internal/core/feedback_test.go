@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsprof/internal/cc"
+	"dsprof/internal/collect"
 	"dsprof/internal/hwc"
 	"dsprof/internal/isa"
 	"dsprof/internal/mcf"
@@ -69,7 +70,7 @@ func TestFeedbackEmptyWithoutMissData(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := StudyMachine()
-	res, err := CollectRun(prog, nil, &cfg, true, "")
+	res, err := CollectRun(t.Context(), prog, "", collect.Options{ClockProfile: true, Machine: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

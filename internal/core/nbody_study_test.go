@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dsprof/internal/cc"
+	"dsprof/internal/collect"
 	"dsprof/internal/nbody"
 )
 
@@ -40,7 +41,7 @@ func TestNBodyVariantStudy(t *testing.T) {
 		// A third pass counts D$ read misses directly: at this scale the
 		// node array blows through the 4 KB D$ while fitting the E$, so
 		// ecrm stays near zero and dcrm carries the miss signal.
-		resC, err := CollectRun(prog, input, &cfg, false, "+dcrm,997")
+		resC, err := CollectRun(t.Context(), prog, "+dcrm,997", collect.Options{Machine: &cfg, Input: input})
 		if err != nil {
 			t.Fatalf("%v: experiment C: %v", v, err)
 		}

@@ -37,8 +37,8 @@ func TestMaxBaseCostIsTrueMax(t *testing.T) {
 
 // TestMaxInstrCostBounds checks that the machine's per-instruction cycle
 // bound really dominates the worst case the simulator can charge for one
-// non-syscall instruction. Both the fast interpreter's horizon batching
-// and the translated backend's block-level budget check subtract this
+// non-syscall instruction. Both the interpreter's horizon batching and
+// the translated engine's block-level budget check subtract this
 // bound; an undersized value would let a cycle-armed counter overflow
 // mid-batch.
 func TestMaxInstrCostBounds(t *testing.T) {

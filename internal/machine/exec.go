@@ -155,9 +155,9 @@ func (m *Machine) stepFallback() (uint64, error) {
 }
 
 // armedBudget computes the horizons of a translated batch from the
-// instruction and cycle horizons maxN and stop. ok is false on the fast
-// backend, and whenever an armed counter is too close to overflow to
-// cover even one worst-case instruction.
+// instruction and cycle horizons maxN and stop. ok is false whenever an
+// armed counter is too close to overflow to cover even one worst-case
+// instruction.
 //
 // Each armed memory/I$/TLB counter shrinks the horizon along the axis
 // that bounds its event tightest. I$ misses fire at most once per
@@ -179,9 +179,6 @@ func (m *Machine) stepFallback() (uint64, error) {
 // reserved extra event) — so the whole batch counts armed events into
 // evDelta and flushes once at the boundary.
 func (m *Machine) armedBudget(maxN, stop uint64) (n, maxMem, bstop uint64, ok bool) {
-	if m.backend != BackendTranslated {
-		return 0, 0, 0, false
-	}
 	n, maxMem, bstop = maxN, ^uint64(0), stop
 	for _, c := range m.counters {
 		if c == nil {
@@ -234,8 +231,9 @@ func picOf(mask uint8) int {
 // The dispatch below duplicates exec1's per-class semantics with the hot
 // architectural state — PC, NPC, cycle count, current fetch line — held in
 // locals, saving a call and a machine-state round trip per instruction.
-// Any change to exec1 must be mirrored here; TestFastPathEquivalence and
-// TestFastPathGolden hold the two interpreters to byte-identical runs.
+// Any change to exec1 must be mirrored here; the interpreter-only arms of
+// TestFastPathEquivalence and FuzzBackendDifferential hold the two
+// interpreters to byte-identical runs.
 // The only inner-loop callee that observes state the locals shadow is
 // doSyscall (trap PCs, the cycle-count service), so the syscall case
 // flushes before the call.

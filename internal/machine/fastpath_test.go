@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -99,16 +100,21 @@ func driveMachine(t *testing.T, cfg Config, prog func(b *asm.Builder), arm func(
 	return lg
 }
 
-// withBackend wraps an arming function so the same driveMachine workload
-// runs on an explicitly chosen backend. heat > 0 also lowers the
-// translation threshold so short test workloads actually reach the
-// translated blocks rather than staying on the interpreter warm-up path.
-func withBackend(b Backend, heat uint32, arm func(m *Machine)) func(m *Machine) {
+// Translation heats of the batched engine's two differential arms:
+// interpOnly keeps every block entry cold, so Run and RunFor execute on
+// runInner alone; transAll translates a block on its first dispatcher
+// visit, so short test workloads reach translated code rather than
+// staying on the interpreter warm-up path.
+const (
+	interpOnly uint32 = math.MaxUint32
+	transAll   uint32 = 1
+)
+
+// withHeat wraps an arming function so the same driveMachine workload
+// runs at an explicit translation heat.
+func withHeat(heat uint32, arm func(m *Machine)) func(m *Machine) {
 	return func(m *Machine) {
-		m.SetBackend(b)
-		if heat > 0 {
-			m.SetTranslationHeat(heat)
-		}
+		m.SetTranslationHeat(heat)
 		if arm != nil {
 			arm(m)
 		}
@@ -165,8 +171,9 @@ func equivProg(b *asm.Builder) {
 	b.Emit(isa.Instr{Op: isa.Nop})                                                 // delay slot
 }
 
-// TestFastPathEquivalence runs the same armed workloads on the fast path
-// (Run, and RunFor in slices) and the reference stepper, and requires
+// TestFastPathEquivalence runs the same armed workloads on the batched
+// engine (Run, and RunFor in slices), interpreter-only and translating,
+// and on the reference stepper, and requires
 // every observable output — delivered events with their skid draws,
 // ticks, stats, registers, counter totals — to be identical.
 func TestFastPathEquivalence(t *testing.T) {
@@ -224,21 +231,21 @@ func TestFastPathEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := driveMachine(t, tc.cfg(), equivProg, tc.arm, stepLoop)
-			fast := driveMachine(t, tc.cfg(), equivProg, withBackend(BackendFast, 0, tc.arm), (*Machine).Run)
-			sliced := driveMachine(t, tc.cfg(), equivProg, withBackend(BackendFast, 0, tc.arm), runForLoop)
-			trans := driveMachine(t, tc.cfg(), equivProg, withBackend(BackendTranslated, 1, tc.arm), (*Machine).Run)
-			transSliced := driveMachine(t, tc.cfg(), equivProg, withBackend(BackendTranslated, 1, tc.arm), runForLoop)
+			interp := driveMachine(t, tc.cfg(), equivProg, withHeat(interpOnly, tc.arm), (*Machine).Run)
+			interpSliced := driveMachine(t, tc.cfg(), equivProg, withHeat(interpOnly, tc.arm), runForLoop)
+			trans := driveMachine(t, tc.cfg(), equivProg, withHeat(transAll, tc.arm), (*Machine).Run)
+			transSliced := driveMachine(t, tc.cfg(), equivProg, withHeat(transAll, tc.arm), runForLoop)
 			if ref.stats.Instrs < 10000 && tc.name != "budget" {
 				t.Fatalf("workload too small to be meaningful: %d instrs", ref.stats.Instrs)
 			}
 			if len(ref.events)+len(ref.ticks) == 0 && tc.arm != nil {
 				t.Fatalf("workload produced no events")
 			}
-			if !reflect.DeepEqual(ref, fast) {
-				diffLogs(t, "Run/fast", ref, fast)
+			if !reflect.DeepEqual(ref, interp) {
+				diffLogs(t, "Run/interp", ref, interp)
 			}
-			if !reflect.DeepEqual(ref, sliced) {
-				diffLogs(t, "RunFor/fast", ref, sliced)
+			if !reflect.DeepEqual(ref, interpSliced) {
+				diffLogs(t, "RunFor/interp", ref, interpSliced)
 			}
 			if !reflect.DeepEqual(ref, trans) {
 				diffLogs(t, "Run/translated", ref, trans)
@@ -266,11 +273,9 @@ func armECStallDense(t *testing.T) func(m *Machine) {
 // reference stepper: under dense E$-stall arming only the instructions
 // that age pending overflows or deliver ticks may run on Step.
 func TestDenseIntervalStepShare(t *testing.T) {
-	for name, b := range map[string]Backend{"translated": BackendTranslated, "fast": BackendFast} {
+	for name, heat := range map[string]uint32{"translated": transAll, "interp": interpOnly} {
 		m := build(t, DefaultConfig(), equivProg)
-		m.SetBackend(b)
-		m.SetTranslationHeat(1)
-		armECStallDense(t)(m)
+		withHeat(heat, armECStallDense(t))(m)
 		if m.maxInstrCost <= 211 {
 			t.Fatalf("maxInstrCost = %d: the E$-stall interval no longer sits below it", m.maxInstrCost)
 		}
@@ -342,13 +347,13 @@ func TestFastPathTrapEquivalence(t *testing.T) {
 	}
 	arm := func(m *Machine) { mustArm(t, m, 0, hwc.EvInstrs, 3) }
 	ref := driveMachine(t, DefaultConfig(), divProg, arm, stepLoop)
-	fast := driveMachine(t, DefaultConfig(), divProg, withBackend(BackendFast, 0, arm), (*Machine).Run)
-	trans := driveMachine(t, DefaultConfig(), divProg, withBackend(BackendTranslated, 1, arm), (*Machine).Run)
+	interp := driveMachine(t, DefaultConfig(), divProg, withHeat(interpOnly, arm), (*Machine).Run)
+	trans := driveMachine(t, DefaultConfig(), divProg, withHeat(transAll, arm), (*Machine).Run)
 	if ref.err == "" {
 		t.Fatal("expected a div-zero trap")
 	}
-	if !reflect.DeepEqual(ref, fast) {
-		diffLogs(t, "Run/fast", ref, fast)
+	if !reflect.DeepEqual(ref, interp) {
+		diffLogs(t, "Run/interp", ref, interp)
 	}
 	if !reflect.DeepEqual(ref, trans) {
 		diffLogs(t, "Run/translated", ref, trans)

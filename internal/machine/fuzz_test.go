@@ -36,7 +36,7 @@ var fuzzEvents = []hwc.Event{
 // branches can target any body slot, forward or backward), and a halt
 // epilogue plus a small subroutine so Call/Jmpl have somewhere real to
 // go. Runaway loops are cut by the machine's instruction budget, which
-// both backends must honor identically.
+// every engine must honor identically.
 func genFuzzProgram(data []byte) func(b *asm.Builder) {
 	return func(b *asm.Builder) {
 		// Preamble: %l0 = malloc(1<<16), %l1 = small counter.
@@ -60,7 +60,7 @@ func genFuzzProgram(data []byte) func(b *asm.Builder) {
 				b.Emit(isa.Instr{Op: isa.Mul, Rd: rd, Rs1: rd, Rs2: rs})
 			case 3:
 				// Div/Rem trap on zero divisors — a legitimate differential
-				// case; both backends must surface the same trap state.
+				// case; every engine must surface the same trap state.
 				b.Emit(isa.Instr{Op: isa.Div, Rd: rd, Rs1: rs, UseImm: true, Imm: int32(sel%7) + 1})
 			case 4:
 				b.Emit(isa.Instr{Op: isa.Rem, Rd: rd, Rs1: rd, Rs2: rs})
@@ -75,7 +75,7 @@ func genFuzzProgram(data []byte) func(b *asm.Builder) {
 			case 9, 10:
 				// Loads from the scratch region. Offsets are mostly aligned;
 				// every 16th selector deliberately misaligns to exercise the
-				// alignment-trap path on all backends.
+				// alignment-trap path on every engine.
 				off := int32(sel) * 8
 				if sel%16 == 0 {
 					off++
@@ -148,12 +148,13 @@ func genFuzzArm(t *testing.T, data []byte) func(m *Machine) {
 }
 
 // FuzzBackendDifferential feeds random small programs under randomized
-// arming to the reference stepper, the event-horizon interpreter, and
-// the translated backend (threshold forced to 1 so every block
-// translates), and requires every observable output — final registers,
-// PC, statistics, counter totals, delivered overflow events with their
-// skid draws, clock ticks, and trap errors — to be identical across all
-// of them, for both Run and sliced RunFor driving.
+// arming to the reference stepper and to the batched engine twice:
+// interpreter-only (translation heat math.MaxUint32, so every block
+// stays cold) and translating (heat 1, so every block translates). It
+// requires every observable output — final registers, PC, statistics,
+// counter totals, delivered overflow events with their skid draws,
+// clock ticks, and trap errors — to be identical across all of them,
+// for both Run and sliced RunFor driving.
 func FuzzBackendDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 16, 3, 9, 12, 11, 200, 3, 0, 16, 250})
@@ -193,11 +194,11 @@ func FuzzBackendDifferential(f *testing.F) {
 		cfg := DefaultConfig()
 		cfg.MaxInstrs = 30000 // cut runaway branch loops, identically everywhere
 		ref := driveMachine(t, cfg, prog, arm, stepLoop)
-		fast := driveMachine(t, cfg, prog, withBackend(BackendFast, 0, arm), (*Machine).Run)
-		trans := driveMachine(t, cfg, prog, withBackend(BackendTranslated, 1, arm), (*Machine).Run)
-		transSliced := driveMachine(t, cfg, prog, withBackend(BackendTranslated, 1, arm), runForLoop)
-		if !reflect.DeepEqual(ref, fast) {
-			diffLogs(t, "Run/fast", ref, fast)
+		interp := driveMachine(t, cfg, prog, withHeat(interpOnly, arm), (*Machine).Run)
+		trans := driveMachine(t, cfg, prog, withHeat(transAll, arm), (*Machine).Run)
+		transSliced := driveMachine(t, cfg, prog, withHeat(transAll, arm), runForLoop)
+		if !reflect.DeepEqual(ref, interp) {
+			diffLogs(t, "Run/interp", ref, interp)
 		}
 		if !reflect.DeepEqual(ref, trans) {
 			diffLogs(t, "Run/translated", ref, trans)

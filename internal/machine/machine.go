@@ -132,9 +132,6 @@ type Machine struct {
 	// reference-Step fallbacks, so tests can bound the stepped share.
 	stepFallbacks uint64
 
-	// backend selects the execution engine behind Run/RunFor; the zero
-	// value is BackendTranslated. See translate.go.
-	backend Backend
 	// trans is the translation cache, built lazily and dropped whole on
 	// LoadProgram (its threaded-code blocks hold register pointers and
 	// successor links valid only for this program's decode). transHeat
@@ -232,7 +229,7 @@ func (m *Machine) LoadProgram(text []isa.Instr, data []byte, entry uint64) error
 	// bake in register pointers, immediates, and successor-block links of
 	// the program they were compiled from. (Stores never invalidate
 	// translations — execution reads only from dec, never from data
-	// memory, on every backend.)
+	// memory, on every engine path.)
 	m.trans = nil
 	for i := range m.dec {
 		m.dec[i].Cost = baseCost[m.dec[i].Op]
@@ -299,7 +296,7 @@ func (m *Machine) ArmCounter(pic int, ev hwc.Event, interval uint64) error {
 }
 
 // rebuildArmed recomputes the per-event armed-PIC bitmasks from the
-// counter registers. Any event combination runs on any backend: the
+// counter registers. Any event combination runs on every engine path: the
 // translated engine counts memory, I$, and TLB events inline under the
 // armed-event budget (see the horizon in runBatch and the eligibility
 // invariant in translate.go).

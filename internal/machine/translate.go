@@ -2,7 +2,6 @@ package machine
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"dsprof/internal/hwc"
 	"dsprof/internal/isa"
@@ -10,7 +9,7 @@ import (
 	"dsprof/internal/tlb"
 )
 
-// This file is the binary-translating backend: hot superblocks of
+// This file is the engine's binary translator: hot superblocks of
 // predecoded instructions compile into threaded code — flat arrays of
 // pre-resolved operations whose register operands are pointers into the
 // register file and whose immediates, branch targets, and fetch lines are
@@ -52,37 +51,12 @@ import (
 //     re-executes it and raises the exact trap of the reference path.
 //     Blocks themselves never trap, never deliver events, never syscall.
 //
-// The produced execution is byte-identical to the reference stepper —
-// TestFastPathEquivalence, TestFastPathGolden, and FuzzBackendDifferential
-// hold all three engines (Step, fast interpreter, translated) to the same
-// machine state, event streams, and experiment bytes.
-
-// Backend selects the execution engine behind Run/RunFor.
-type Backend uint8
-
-const (
-	// BackendTranslated runs hot superblocks as translated threaded code
-	// and falls back to the batched interpreter elsewhere. The default.
-	BackendTranslated Backend = iota
-	// BackendFast is the event-horizon batched interpreter alone (the
-	// PR 4 fast path), without translation.
-	BackendFast
-)
-
-// ParseBackend maps a user-facing backend name to a Backend. The empty
-// string selects the default (translated); every tool and job spec that
-// exposes a backend knob funnels through here so the names stay
-// consistent.
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "translated":
-		return BackendTranslated, nil
-	case "fast":
-		return BackendFast, nil
-	default:
-		return BackendTranslated, fmt.Errorf("machine: unknown backend %q (want translated or fast)", s)
-	}
-}
+// The produced execution is byte-identical to the reference stepper.
+// TestFastPathEquivalence and FuzzBackendDifferential hold Step, the
+// batched engine with translation held off (runInner alone) and the
+// batched engine translating every block to the same machine state and
+// event streams; TestFastPathGolden holds Step and the default engine to
+// the same experiment bytes.
 
 const (
 	// transHeatDefault is how many dispatcher visits a cold block entry
@@ -313,8 +287,8 @@ var noTransBlock = &tblock{}
 // on LoadProgram: translated ops capture register pointers and
 // decode-time constants of the loaded text, so they must not outlive it.
 // (Stores cannot invalidate translations: the machine executes only from
-// the predecoded dec array on every backend, never from data memory, so
-// self-modifying stores alter no execution path — see DESIGN.md §11.)
+// the predecoded dec array on every engine path, never from data memory,
+// so self-modifying stores alter no execution path — see DESIGN.md §11.)
 type transState struct {
 	blocks []*tblock
 	heat   []uint32
@@ -332,15 +306,12 @@ func (m *Machine) ensureTrans() *transState {
 	return m.trans
 }
 
-// SetBackend selects the execution engine for subsequent Run/RunFor
-// calls. Switching is safe at any instruction boundary: every backend
-// produces the same execution.
-func (m *Machine) SetBackend(b Backend) { m.backend = b }
-
 // SetTranslationHeat overrides the dispatcher-visit threshold at which a
 // block entry is translated (0 restores the default). Tests lower it to
 // force translation on short programs; it tunes warmup only, never
-// which execution is produced.
+// which execution is produced. math.MaxUint32 keeps every entry cold:
+// a block would need 2^32-1 dispatcher visits, far beyond any test or
+// benchmark run, so execution stays on runInner alone.
 func (m *Machine) SetTranslationHeat(n uint32) { m.transHeat = n }
 
 func (m *Machine) heatThreshold() uint32 {

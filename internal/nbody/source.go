@@ -85,7 +85,7 @@ func sub(v Variant) *strings.Replacer {
 // pairs of leaves aggregate into coarse nodes whose duplicate links are
 // combined; the coarse graph relaxes first and seeds the fine pass.
 // All arithmetic on positions and forces is Q16.16 fixed point, so the
-// eight output longs are bit-exact across backends and layouts.
+// eight output longs are bit-exact across execution engines and layouts.
 const srcTemplate = `/* nbody: hierarchical force layout over a citation graph. */
 
 struct lnode;

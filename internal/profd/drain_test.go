@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dsprof/internal/collect"
-	"dsprof/internal/core"
 )
 
 // TestDrainFinishesInFlightJobs asserts graceful shutdown completes
@@ -160,5 +159,5 @@ func runTinyJob(ctx context.Context, spec *JobSpec) (*collect.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.CollectRunContext(ctx, prog, input, cfg, spec.Clock, spec.ClockIntervalCycles, spec.Counters)
+	return collectSpec(ctx, prog, input, cfg, spec)
 }

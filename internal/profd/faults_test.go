@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"dsprof/internal/collect"
-	"dsprof/internal/core"
 	"dsprof/internal/experiment"
 	"dsprof/internal/faultfs"
 )
@@ -162,8 +161,7 @@ func makeExperiment(t *testing.T) (*JobSpec, *experiment.Experiment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.CollectRunContext(context.Background(), prog, input, cfg,
-		spec.Clock, spec.ClockIntervalCycles, spec.Counters)
+	res, err := collectSpec(context.Background(), prog, input, cfg, &spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"dsprof/internal/collect"
-	"dsprof/internal/machine"
 	"dsprof/internal/mcf"
 	"dsprof/internal/nbody"
 )
@@ -81,14 +80,6 @@ type JobSpec struct {
 	// pool-advice). Counter event shards are unaffected either way.
 	Provenance bool `json:"provenance,omitempty"`
 
-	// Backend selects the simulator execution engine: "" or
-	// "translated" (default) for the superblock-translating backend,
-	// "fast" for the event-horizon interpreter alone. The experiment
-	// produced is byte-identical either way, so the choice is
-	// deliberately NOT part of ConfigHash: a cached result collected on
-	// one backend answers a resubmission on the other.
-	Backend string `json:"backend,omitempty"`
-
 	// TimeoutSec bounds the run's wall-clock time (0 = scheduler default).
 	TimeoutSec float64 `json:"timeoutSec,omitempty"`
 	// MaxRetries re-runs the job after a transient failure (default 0).
@@ -140,9 +131,6 @@ func (s *JobSpec) Validate() error {
 	if _, err := collect.ParseCounterSpec(s.Counters); err != nil {
 		return err
 	}
-	if _, err := machine.ParseBackend(s.Backend); err != nil {
-		return err
-	}
 	if s.TimeoutSec < 0 {
 		return fmt.Errorf("profd: negative timeout %g", s.TimeoutSec)
 	}
@@ -170,11 +158,10 @@ func (s *JobSpec) nbodyVariant() nbody.Variant {
 
 // ConfigHash is the experiment-store index key: a digest of every field
 // that determines the profiled run's outcome (program identity, input,
-// counter arming, machine selection). Backend is excluded on purpose:
-// all execution engines produce byte-identical experiments (the
-// differential goldens enforce it), so runs differing only in Backend
-// are the same experiment. Jobs with equal hashes produce
-// byte-identical profiles on the deterministic simulator.
+// counter arming, machine selection). Run controls (timeout, retries)
+// are excluded. Jobs with equal hashes produce byte-identical profiles
+// on the deterministic simulator. Store directory names embed the hash,
+// so its value must stay stable (TestConfigHash pins it).
 func (s *JobSpec) ConfigHash() string {
 	canon := struct {
 		Program, Source, Name, Layout string

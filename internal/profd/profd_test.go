@@ -5,8 +5,14 @@ package profd
 // a long-running spin program for cancellation/timeout tests.
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"dsprof/internal/asm"
+	"dsprof/internal/collect"
+	"dsprof/internal/core"
+	"dsprof/internal/machine"
 )
 
 const wlSrc = `
@@ -67,6 +73,18 @@ long main() {
 	return s;
 }
 `
+
+// collectSpec runs spec's collect through the core façade on a program,
+// input and machine already resolved from it: the serial reference the
+// scheduler's runs are compared against.
+func collectSpec(ctx context.Context, prog *asm.Program, input []int64, cfg *machine.Config, spec *JobSpec) (*collect.Result, error) {
+	return core.CollectRun(ctx, prog, spec.Counters, collect.Options{
+		ClockProfile:        spec.Clock,
+		ClockIntervalCycles: spec.ClockIntervalCycles,
+		Machine:             cfg,
+		Input:               input,
+	})
+}
 
 // specA is the paper's experiment A shape: clock + E$ stall + E$ read
 // misses, with apropos backtracking.
@@ -154,6 +172,30 @@ func TestConfigHash(t *testing.T) {
 	c.Input = []int64{101}
 	if a.ConfigHash() == c.ConfigHash() {
 		t.Error("different inputs hash equal")
+	}
+
+	// Store directory names and the index embed the hash, so its value
+	// must never drift: a stored experiment would stop answering its own
+	// spec. Never regenerate these literals to make the test pass.
+	pinned := []struct {
+		spec JobSpec
+		want string
+	}{
+		{JobSpec{Program: ProgramMCF, Layout: "paper", Trips: 120, Seed: 20030717,
+			Clock: true, Counters: "+ecstall,20011,+ecrm,509", MachineConfig: "scaled"},
+			"843a17b9fe895859"},
+		{JobSpec{Program: ProgramNBody, Layout: "compressed", Trips: 400, Seed: 20030717,
+			Clock: true, ClockIntervalCycles: 9001, Counters: "+ecstall,2003,+ecrm,251",
+			MachineConfig: "scaled", Provenance: true},
+			"75f7a0eaac3f105e"},
+		{JobSpec{Source: "long main() { return 0; }", Name: "tiny", Input: []int64{1, 2, 3},
+			Counters: "+ecref,1009,+dtlbm,251", PageSizeHeap: 512 << 10},
+			"3b541c0e7fae7fe7"},
+	}
+	for _, p := range pinned {
+		if got := p.spec.ConfigHash(); got != p.want {
+			t.Errorf("ConfigHash(%+v) = %s, want %s", p.spec, got, p.want)
+		}
 	}
 }
 

@@ -209,7 +209,13 @@ func (s *Scheduler) collectJob(ctx context.Context, spec *JobSpec) (*collect.Res
 	if err != nil {
 		return nil, err
 	}
-	return core.CollectRunContextJob(ctx, prog, input, cfg, spec.Clock, spec.ClockIntervalCycles, spec.Counters, spec.Provenance, spec.Backend)
+	return core.CollectRun(ctx, prog, spec.Counters, collect.Options{
+		ClockProfile:        spec.Clock,
+		ClockIntervalCycles: spec.ClockIntervalCycles,
+		Machine:             cfg,
+		Input:               input,
+		Provenance:          spec.Provenance,
+	})
 }
 
 // Submit validates and queues a job, returning it immediately.

@@ -11,7 +11,6 @@ import (
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/collect"
-	"dsprof/internal/core"
 )
 
 // serialObjects is the reference rendering: run the same A/B pair
@@ -24,13 +23,11 @@ func serialObjects(t *testing.T, n int64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resA, err := core.CollectRunContext(context.Background(), prog, input, cfg,
-		a.Clock, a.ClockIntervalCycles, a.Counters)
+	resA, err := collectSpec(context.Background(), prog, input, cfg, &a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := core.CollectRunContext(context.Background(), prog, input, cfg,
-		b.Clock, b.ClockIntervalCycles, b.Counters)
+	resB, err := collectSpec(context.Background(), prog, input, cfg, &b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,15 +225,19 @@ func TestServerErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unprofiled job spec = %d, want 400", resp.StatusCode)
 	}
-	// Unknown JSON field.
-	resp, err = http.Post(ts.URL+"/jobs", "application/json",
-		strings.NewReader(`{"program":"mcf","clock":true,"frobnicate":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown spec field = %d, want 400", resp.StatusCode)
+	// Unknown JSON fields, including the retired engine selector.
+	for _, body := range []string{
+		`{"program":"mcf","clock":true,"frobnicate":1}`,
+		`{"program":"mcf","clock":true,"backend":"fast"}`,
+	} {
+		resp, err = http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unknown spec field in %s = %d, want 400", body, resp.StatusCode)
+		}
 	}
 	// Unknown job.
 	if code := getJSON(t, ts.URL+"/jobs/job-42", nil); code != http.StatusNotFound {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"dsprof/internal/core"
 	"dsprof/internal/experiment"
 )
 
@@ -31,14 +30,12 @@ func testExperiments(t *testing.T) (*experiment.Experiment, *experiment.Experime
 			testExpErr = err
 			return
 		}
-		resA, err := core.CollectRunContext(context.Background(), prog, input, cfg,
-			a.Clock, a.ClockIntervalCycles, a.Counters)
+		resA, err := collectSpec(context.Background(), prog, input, cfg, &a)
 		if err != nil {
 			testExpErr = err
 			return
 		}
-		resB, err := core.CollectRunContext(context.Background(), prog, input, cfg,
-			b.Clock, b.ClockIntervalCycles, b.Counters)
+		resB, err := collectSpec(context.Background(), prog, input, cfg, &b)
 		if err != nil {
 			testExpErr = err
 			return

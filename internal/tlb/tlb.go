@@ -148,7 +148,7 @@ func (t *TLB) lookupSlow(pageBase, pageSize uint64) bool {
 // would (clock tick, use stamp). Segments are disjoint and installed
 // bases are page-aligned, so a base match alone identifies the page; the
 // index is a caller-remembered performance hint (the translated
-// backend's per-site TLB caches), verified on every use.
+// engine's per-site TLB caches), verified on every use.
 func (t *TLB) EntryHit(idx int, pageBase uint64) bool {
 	e := &t.entries[idx]
 	if e.base != pageBase {

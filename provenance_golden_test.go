@@ -16,6 +16,7 @@ import (
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/cc"
+	"dsprof/internal/collect"
 	"dsprof/internal/core"
 	"dsprof/internal/experiment"
 	"dsprof/internal/mcf"
@@ -42,7 +43,9 @@ func provPair(t *testing.T) (offDir, onDir string) {
 	input := mcf.Generate(mcf.DefaultGenParams(120, 20030717)).Encode()
 	cfg := core.StudyMachine()
 	run := func(provenance bool, dir string) {
-		res, err := core.CollectRunContextProv(t.Context(), prog, input, &cfg, true, 0, "+ecstall,10007,+ecrm,503", provenance)
+		res, err := core.CollectRun(t.Context(), prog, "+ecstall,10007,+ecrm,503", collect.Options{
+			ClockProfile: true, Machine: &cfg, Input: input, Provenance: provenance,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

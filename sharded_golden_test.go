@@ -16,6 +16,7 @@ import (
 	_ "dsprof/internal/advisor" // registers the "advice" and "pool-advice" reports
 	"dsprof/internal/analyzer"
 	"dsprof/internal/cc"
+	"dsprof/internal/collect"
 	"dsprof/internal/core"
 	"dsprof/internal/experiment"
 	"dsprof/internal/hwc"
@@ -50,18 +51,24 @@ func goldenPair(t *testing.T) (dirA, dirB string) {
 		// counter streams (provenance_golden_test.go), so the pre-existing
 		// reports see the same data either way.
 		ctx := context.Background()
-		resA, err := core.CollectRunContextProv(ctx, prog, input, &cfg, true, 0, "+ecstall,10007,+ecrm,503", true)
+		resA, err := core.CollectRun(ctx, prog, "+ecstall,10007,+ecrm,503", collect.Options{
+			ClockProfile: true, Machine: &cfg, Input: input, Provenance: true,
+		})
 		if err != nil {
 			goldenErr = err
 			return
 		}
-		resB, err := core.CollectRunContextProv(ctx, prog, input, &cfg, false, 0, "+ecref,997,+dtlbm,251", true)
+		resB, err := core.CollectRun(ctx, prog, "+ecref,997,+dtlbm,251", collect.Options{
+			Machine: &cfg, Input: input, Provenance: true,
+		})
 		if err != nil {
 			goldenErr = err
 			return
 		}
 		input2 := mcf.Generate(mcf.DefaultGenParams(160, 20030718)).Encode()
-		resA2, err := core.CollectRunContextProv(ctx, prog, input2, &cfg, true, 0, "+ecstall,10007,+ecrm,503", true)
+		resA2, err := core.CollectRun(ctx, prog, "+ecstall,10007,+ecrm,503", collect.Options{
+			ClockProfile: true, Machine: &cfg, Input: input2, Provenance: true,
+		})
 		if err != nil {
 			goldenErr = err
 			return

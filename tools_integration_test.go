@@ -1,6 +1,7 @@
 package dsprof_test
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -60,6 +61,27 @@ func TestToolPipeline(t *testing.T) {
 	counters := run("collect")
 	if !strings.Contains(counters, "ecstall") || !strings.Contains(counters, "dtlbm") {
 		t.Fatalf("counter list:\n%s", counters)
+	}
+
+	// A misspelt on/off value, or the retired -backend flag, is a usage
+	// error (exit 2) that writes nothing, never a collect that silently
+	// runs with clock profiling or provenance off.
+	for _, args := range [][]string{
+		{"-p", "yes"},
+		{"-prov", "of"},
+		{"-backend", "fast"},
+	} {
+		args = append(args, "-scaled", "-o", "bad.er", "-h", "+ecstall,20011", "-input", "mcf.in", "mcf.obj")
+		cmd := exec.Command(bin("collect"), args...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("collect %v: %v, want exit status 2\n%s", args, err, out)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "bad.er")); !os.IsNotExist(err) {
+		t.Errorf("rejected collects left bad.er behind (stat: %v)", err)
 	}
 
 	// The paper's two experiments.
