@@ -64,8 +64,8 @@ var (
 func benchStudy(b *testing.B) *core.Study {
 	b.Helper()
 	studyOnce.Do(func() {
-		p := core.DefaultStudy()
-		p.Trips = benchTrips()
+		p := core.DefaultStudy(core.MCF)
+		p.Size = benchTrips()
 		study, studyErr = core.RunStudy(p)
 	})
 	if studyErr != nil {
@@ -83,7 +83,7 @@ var (
 
 func timeMCF(b *testing.B, p core.StudyParams) uint64 {
 	b.Helper()
-	key := fmt.Sprintf("%d/%v/%d/%v", p.Trips, p.Layout, p.PageSizeHeap, p.HWCProf)
+	key := fmt.Sprintf("%d/%v/%d/%v", p.Size, p.Layout, p.PageSizeHeap, p.HWCProf)
 	timedMu.Lock()
 	defer timedMu.Unlock()
 	if c, ok := timings[key]; ok {
@@ -98,8 +98,8 @@ func timeMCF(b *testing.B, p core.StudyParams) uint64 {
 }
 
 func baseParams() core.StudyParams {
-	p := core.DefaultStudy()
-	p.Trips = benchTrips()
+	p := core.DefaultStudy(core.MCF)
+	p.Size = benchTrips()
 	return p
 }
 
@@ -236,7 +236,7 @@ func BenchmarkHwcprofOverhead(b *testing.B) {
 func BenchmarkStructLayoutSpeedup(b *testing.B) {
 	base := baseParams()
 	opt := base
-	opt.Layout = mcf.LayoutOptimized
+	opt.Layout = mcf.LayoutOptimized.String()
 	var baseC, optC uint64
 	for i := 0; i < b.N; i++ {
 		baseC = timeMCF(b, base)
@@ -260,7 +260,7 @@ func BenchmarkPageSizeSpeedup(b *testing.B) {
 func BenchmarkCombinedSpeedup(b *testing.B) {
 	base := baseParams()
 	both := base
-	both.Layout = mcf.LayoutOptimized
+	both.Layout = mcf.LayoutOptimized.String()
 	both.PageSizeHeap = 512 << 10
 	var baseC, bothC uint64
 	for i := 0; i < b.N; i++ {
@@ -297,11 +297,11 @@ func BenchmarkPrefetchFeedback(b *testing.B) {
 	if len(fb) == 0 {
 		b.Fatal("no prefetch feedback produced")
 	}
-	prog, err := mcf.Program(s.Params.Layout, cc.Options{HWCProf: true, PrefetchFeedback: fb})
+	prog, err := mcf.Program(mcf.LayoutPaper, cc.Options{HWCProf: true, PrefetchFeedback: fb})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ins := mcf.Generate(mcf.DefaultGenParams(s.Params.Trips, s.Params.Seed))
+	ins := mcf.Generate(mcf.DefaultGenParams(s.Params.Size, s.Params.Seed))
 	cfg := core.StudyMachine()
 	var withPf uint64
 	for i := 0; i < b.N; i++ {

@@ -9,14 +9,18 @@
 //	    -pools renders allocation-site split-pool advice instead, which
 //	    needs experiments collected with provenance enabled
 //
-//	dsadvise loop [-workload mcf] [-trips 1200] [-papers 2000] [-seed S]
-//	              [-layout paper] [-variant baseline] [-machine study]
-//	              [-window 16] [-minshare 0.05] [-n 20] [-o FILE]
+//	dsadvise loop [-workload mcf] [-size N] [-seed S] [-layout L]
+//	              [-machine study] [-window 16] [-minshare 0.05] [-n 20]
+//	              [-o FILE]
 //	    full loop on a bundled workload (mcf or nbody): profile a
 //	    baseline, derive recommendations, re-run each with the layout
 //	    override applied, and report measured accepted/rejected verdicts;
-//	    -trips/-layout size the MCF instance, -papers/-variant the
-//	    n-body one
+//	    -size is the instance size (MCF trips, n-body papers; 0 selects
+//	    the workload's default) and -layout the baseline layout in the
+//	    workload's own names (mcf: paper or optimized; nbody: baseline
+//	    or compressed)
+//
+// -o FILE is all-or-nothing: a failed run leaves FILE untouched.
 //
 // Exit status: 0 on success, 1 on runtime failure, 2 on usage errors
 // (unknown command, bad token) — erprint's conventions.
@@ -35,9 +39,6 @@ import (
 	"dsprof/internal/cli"
 	"dsprof/internal/core"
 	"dsprof/internal/experiment"
-	"dsprof/internal/machine"
-	"dsprof/internal/mcf"
-	"dsprof/internal/nbody"
 	"dsprof/internal/version"
 )
 
@@ -67,30 +68,11 @@ func run() error {
 func usage() error {
 	fmt.Fprintln(os.Stderr, `usage: dsadvise {advice|loop} [flags]
   advice [-pools] [-n 20] [-o FILE] expt.er...           advise from existing experiments
-  loop   [-workload mcf|nbody] [-seed S] [-machine M]    closed loop on a bundled workload
-         [-trips N] [-layout L]                          (MCF instance size and layout)
-         [-papers N] [-variant V]                        (n-body size and link encoding)
-         [-window W] [-minshare F] [-n 20] [-o FILE]
+  loop   [-workload mcf|nbody] [-size N] [-seed S]       closed loop on a bundled workload
+         [-layout L] [-machine M] [-window W]
+         [-minshare F] [-n 20] [-o FILE]
   -version                                               print the suite version`)
 	return cli.Usagef("unknown or missing subcommand")
-}
-
-// withOut renders through f to -o FILE (or stdout when path is empty),
-// returning any render or close error so deferred cleanup in the caller
-// still runs — no os.Exit buried in the output path.
-func withOut(path string, f func(io.Writer) error) error {
-	if path == "" {
-		return f(os.Stdout)
-	}
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := f(out); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }
 
 func runAdvice(args []string) error {
@@ -131,19 +113,17 @@ func runAdvice(args []string) error {
 	if *pools {
 		report = "pool-advice"
 	}
-	return withOut(*outPath, func(out io.Writer) error {
+	return cli.WriteOutput(*outPath, func(out io.Writer) error {
 		return a.Render(out, report, analyzer.RenderOpts{TopN: *topN})
 	})
 }
 
 func runLoop(args []string) error {
 	fs := flag.NewFlagSet("loop", flag.ContinueOnError)
-	workload := fs.String("workload", "mcf", "bundled workload: mcf or nbody")
-	trips := fs.Int("trips", 1200, "MCF instance size (timetabled trips)")
-	papers := fs.Int("papers", 2000, "n-body instance size (papers)")
-	variant := fs.String("variant", "baseline", "n-body link encoding: baseline or compressed")
-	seed := fs.Uint64("seed", 20030717, "instance seed")
-	layout := fs.String("layout", "paper", "baseline struct layout: paper or optimized")
+	workload := fs.String("workload", core.MCF.Name, "bundled workload: mcf or nbody")
+	size := fs.Int("size", 0, "instance size: MCF trips, n-body papers (0 = the workload's default)")
+	seed := fs.Uint64("seed", core.DefaultSeed, "instance seed")
+	layout := fs.String("layout", "", "baseline struct layout, in the workload's names (default: its first)")
 	machineName := fs.String("machine", "study", "machine configuration: study, scaled or default")
 	window := fs.Int("window", 16, "co-access affinity window (events)")
 	minShare := fs.Float64("minshare", 0.05, "minimum metric share for a struct to be considered")
@@ -155,63 +135,34 @@ func runLoop(args []string) error {
 	if fs.NArg() > 0 {
 		return cli.Usagef("loop takes no positional arguments, got %q", fs.Arg(0))
 	}
-	var cfg machine.Config
-	switch *machineName {
-	case "study":
-		cfg = core.StudyMachine()
-	case "scaled":
-		cfg = machine.ScaledConfig()
-	case "default":
-		cfg = machine.DefaultConfig()
-	default:
-		return cli.Usagef("unknown machine %q (study, scaled or default)", *machineName)
+	w, err := core.LookupWorkload(*workload)
+	if err != nil {
+		return cli.UsageError{Err: err}
 	}
-	opts := advisor.Options{Window: *window, MinShare: *minShare, MaxRecs: *topN}
-
-	var run *core.AdviseRun
-	var err error
-	switch *workload {
-	case "mcf":
-		var l mcf.Layout
-		switch *layout {
-		case "paper":
-			l = mcf.LayoutPaper
-		case "optimized":
-			l = mcf.LayoutOptimized
-		default:
-			return cli.Usagef("unknown layout %q (paper or optimized)", *layout)
-		}
-		run, err = core.AdviseMCF(context.Background(), core.AdviseParams{
-			Study: core.StudyParams{
-				Trips: *trips, Seed: *seed, Layout: l, HWCProf: true, Machine: &cfg,
-			},
-			Intervals: core.ScaledIntervals(*trips),
-			Advisor:   opts,
-		})
-	case "nbody":
-		var v nbody.Variant
-		switch *variant {
-		case "baseline":
-			v = nbody.VariantBaseline
-		case "compressed":
-			v = nbody.VariantCompressed
-		default:
-			return cli.Usagef("unknown variant %q (baseline or compressed)", *variant)
-		}
-		run, err = core.AdviseNBody(context.Background(), core.NBodyAdviseParams{
-			Study: core.NBodyStudyParams{
-				Papers: *papers, Seed: *seed, Variant: v, HWCProf: true, Machine: &cfg,
-			},
-			Intervals: core.NBodyIntervals(*papers),
-			Advisor:   opts,
-		})
-	default:
-		return cli.Usagef("unknown workload %q (mcf or nbody)", *workload)
+	if _, err := w.Layout(*layout); err != nil {
+		return cli.UsageError{Err: err}
 	}
+	if *size < 0 {
+		return cli.Usagef("negative size %d", *size)
+	}
+	if *size == 0 {
+		*size = w.DefaultSize
+	}
+	cfg, err := core.MachineConfig(*machineName)
+	if err != nil {
+		return cli.UsageError{Err: err}
+	}
+	run, err := core.Advise(context.Background(), core.AdviseParams{
+		Study: core.StudyParams{
+			Workload: w, Layout: *layout, Size: *size, Seed: *seed, HWCProf: true, Machine: &cfg,
+		},
+		Intervals: w.Intervals(*size),
+		Advisor:   advisor.Options{Window: *window, MinShare: *minShare, MaxRecs: *topN},
+	})
 	if err != nil {
 		return err
 	}
-	return withOut(*outPath, func(out io.Writer) error {
+	return cli.WriteOutput(*outPath, func(out io.Writer) error {
 		return run.WriteReport(out, *topN)
 	})
 }

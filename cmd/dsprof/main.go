@@ -63,8 +63,8 @@ func usage() error {
 }
 
 func runStudy(trips int, outDir string) error {
-	p := core.DefaultStudy()
-	p.Trips = trips
+	p := core.DefaultStudy(core.MCF)
+	p.Size = trips
 	log.Printf("running the two-experiment study (trips=%d)...", trips)
 	s, err := core.RunStudy(p)
 	if err != nil {
@@ -123,8 +123,8 @@ func runStudy(trips int, outDir string) error {
 }
 
 func runSpeedups(trips int) error {
-	base := core.DefaultStudy()
-	base.Trips = trips
+	base := core.DefaultStudy(core.MCF)
+	base.Size = trips
 	variant := func(name string, p core.StudyParams) error {
 		cycles, out, err := core.TimeMCF(p)
 		if err != nil {
@@ -137,7 +137,7 @@ func runSpeedups(trips int) error {
 	noProf := base
 	noProf.HWCProf = false
 	opt := base
-	opt.Layout = mcf.LayoutOptimized
+	opt.Layout = mcf.LayoutOptimized.String()
 	pages := base
 	pages.PageSizeHeap = 512 << 10
 	both := opt

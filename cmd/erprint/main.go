@@ -43,12 +43,10 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	_ "dsprof/internal/advisor" // registers the "advice" and "pool-advice" reports
@@ -160,38 +158,7 @@ func run() error {
 		}
 		return nil
 	}
-	if *outPath == "" {
-		return render(os.Stdout)
-	}
-	return writeFileAtomic(*outPath, render)
-}
-
-// writeFileAtomic renders into memory and publishes the bytes to path
-// with a same-directory temp file and rename, so path is either the
-// complete new report or untouched — a mid-render failure (bad member
-// name, missing provenance, I/O error) never leaves a truncated file.
-func writeFileAtomic(path string, render func(io.Writer) error) (err error) {
-	var buf bytes.Buffer
-	if err := render(&buf); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return cli.WriteOutput(*outPath, render)
 }
 
 func dirExists(path string) bool {

@@ -21,9 +21,9 @@ func main() {
 	trips := flag.Int("trips", 600, "instance size (timetabled trips); the paper-scale study uses 1200")
 	flag.Parse()
 
-	p := core.DefaultStudy()
-	p.Trips = *trips
-	fmt.Printf("Running the MCF study: trips=%d layout=%v (two collect runs)...\n\n", p.Trips, p.Layout)
+	p := core.DefaultStudy(core.MCF)
+	p.Size = *trips
+	fmt.Printf("Running the MCF study: trips=%d layout=%v (two collect runs)...\n\n", p.Size, p.Layout)
 	s, err := core.RunStudy(p)
 	if err != nil {
 		log.Fatal(err)

@@ -21,8 +21,8 @@ func main() {
 	trips := flag.Int("trips", 600, "instance size; the paper-scale study uses 1200")
 	flag.Parse()
 
-	base := core.DefaultStudy()
-	base.Trips = *trips
+	base := core.DefaultStudy(core.MCF)
+	base.Size = *trips
 
 	fmt.Println("Profiling the baseline to expose the layout problem...")
 	study, err := core.RunStudy(base)
@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	opt := base
-	opt.Layout = mcf.LayoutOptimized
+	opt.Layout = mcf.LayoutOptimized.String()
 	optCycles, optOut, err := core.TimeMCF(opt)
 	if err != nil {
 		log.Fatal(err)

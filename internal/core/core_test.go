@@ -23,8 +23,8 @@ var testStudy *Study
 func studyForTest(t *testing.T) *Study {
 	t.Helper()
 	if testStudy == nil {
-		p := DefaultStudy()
-		p.Trips = testTrips
+		p := DefaultStudy(MCF)
+		p.Size = testTrips
 		// Scale the TLB down with the instance so the DTLB shape of the
 		// paper-scale study (whose node array exceeds the TLB reach)
 		// also appears at test scale.
@@ -241,11 +241,11 @@ func TestSplitObjectsPaperLayout(t *testing.T) {
 }
 
 func TestPaperIntervalDefaults(t *testing.T) {
-	iv := PaperIntervals{}.withDefaults()
+	iv := PaperIntervals{}.WithDefaults()
 	if iv.ECStall == 0 || iv.ECRdMiss == 0 || iv.ECRef == 0 || iv.DTLBMiss == 0 {
 		t.Error("defaults incomplete")
 	}
-	iv2 := PaperIntervals{ECStall: 5}.withDefaults()
+	iv2 := PaperIntervals{ECStall: 5}.WithDefaults()
 	if iv2.ECStall != 5 {
 		t.Error("explicit interval overridden")
 	}

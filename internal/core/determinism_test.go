@@ -12,8 +12,8 @@ func TestStudyDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full studies")
 	}
-	p := DefaultStudy()
-	p.Trips = 250
+	p := DefaultStudy(MCF)
+	p.Size = 250
 	render := func() string {
 		s, err := RunStudy(p)
 		if err != nil {
@@ -39,8 +39,8 @@ func TestStudyDeterministic(t *testing.T) {
 // Different seeds must produce different instances (and thus different
 // profiles) — the determinism is seed-driven, not hard-coded.
 func TestStudySeedSensitivity(t *testing.T) {
-	a := DefaultStudy()
-	a.Trips = 120
+	a := DefaultStudy(MCF)
+	a.Size = 120
 	b := a
 	b.Seed = a.Seed + 1
 	ca, _, err := TimeMCF(a)

@@ -16,9 +16,9 @@ import (
 // same headroom from counter data alone is TestNBodyRediscovery (in
 // internal/advisor); EXPERIMENTS.md records the measured deltas.
 func TestNBodyVariantStudy(t *testing.T) {
-	p := DefaultNBodyStudy()
-	iv := NBodyIntervals(p.Papers)
-	input := nbody.Generate(nbody.DefaultGenParams(p.Papers, p.Seed)).Encode()
+	p := DefaultStudy(NBody)
+	iv := NBody.Intervals(p.Size)
+	input := NBody.Generate(p.Size, p.Seed)
 	cfg := StudyMachine()
 
 	type counts struct{ ecstall, ecrm, ecref, dtlbm, dcrm int }

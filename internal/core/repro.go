@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
+	"dsprof/internal/advisor"
 	"dsprof/internal/analyzer"
 	"dsprof/internal/cc"
 	"dsprof/internal/hwc"
@@ -18,11 +20,15 @@ import (
 // instance sizes chosen so the working-set:cache ratios match the
 // paper's regime; EXPERIMENTS.md records paper-vs-measured values.
 
-// StudyParams configure one MCF profiling study.
+// StudyParams configure one profiling study of a bundled workload.
 type StudyParams struct {
-	Trips  int
-	Seed   uint64
-	Layout mcf.Layout
+	Workload *Workload
+	// Layout is one of Workload.Layouts; "" selects the first.
+	Layout string
+	// Size is the instance size (MCF trips, n-body papers); 0 selects
+	// Workload.DefaultSize.
+	Size int
+	Seed uint64
 	// PageSizeHeap compiles with -xpagesize_heap (0 = default 8 KB).
 	PageSizeHeap uint64
 	// HWCProf disables -xhwcprof when false (overhead experiment).
@@ -30,9 +36,41 @@ type StudyParams struct {
 	Machine *machine.Config
 }
 
-// DefaultStudy returns the standard scaled study setup.
-func DefaultStudy() StudyParams {
-	return StudyParams{Trips: 1200, Seed: 20030717, Layout: mcf.LayoutPaper, HWCProf: true}
+// DefaultStudy returns the standard scaled study setup for a workload.
+func DefaultStudy(w *Workload) StudyParams {
+	return StudyParams{Workload: w, Layout: w.Layouts[0], Size: w.DefaultSize, Seed: DefaultSeed, HWCProf: true}
+}
+
+// Target builds the study's program sources, compile options, input and
+// machine: the advisor's rebuild-and-re-run target, and what every study
+// run compiles and executes.
+func (p StudyParams) Target() (advisor.Target, error) {
+	w := p.Workload
+	if w == nil {
+		return advisor.Target{}, errors.New("core: study has no workload")
+	}
+	l, err := w.Layout(p.Layout)
+	if err != nil {
+		return advisor.Target{}, err
+	}
+	size := p.Size
+	if size == 0 {
+		size = w.DefaultSize
+	}
+	cfg := StudyMachine()
+	if p.Machine != nil {
+		cfg = *p.Machine
+	}
+	return advisor.Target{
+		Sources: w.Sources(l),
+		Options: cc.Options{
+			Name:         w.progName(l),
+			HWCProf:      p.HWCProf,
+			PageSizeHeap: p.PageSizeHeap,
+		},
+		Input:   w.Generate(size, p.Seed),
+		Machine: &cfg,
+	}, nil
 }
 
 // StudyMachine is the scaled stand-in for the paper's 900 MHz
@@ -59,34 +97,25 @@ type Study struct {
 	Seconds  float64
 }
 
-// RunStudy compiles MCF with the requested layout/flags, generates the
-// instance, runs the paper's two profiled experiments and merges them.
+// RunStudy runs the paper's MCF case study for p, which must describe an
+// MCF study: it builds the program and instance through p.Target, runs
+// the paper's two profiled experiments and merges them.
 func RunStudy(p StudyParams) (*Study, error) {
-	if p.Trips == 0 {
-		p = DefaultStudy()
-	}
-	prog, err := mcf.Program(p.Layout, cc.Options{
-		HWCProf:      p.HWCProf,
-		PageSizeHeap: p.PageSizeHeap,
-	})
+	t, err := p.Target()
 	if err != nil {
 		return nil, err
 	}
-	ins := mcf.Generate(mcf.DefaultGenParams(p.Trips, p.Seed))
-	cfg := StudyMachine()
-	if p.Machine != nil {
-		cfg = *p.Machine
-	}
-	a, resA, _, err := ProfilePaperStyle(prog, ins.Encode(), &cfg, PaperIntervals{})
+	prog, err := cc.Compile(t.Sources, t.Options)
 	if err != nil {
 		return nil, err
 	}
-	out, err := mcf.ParseOutput(resA.Machine.OutputLongs())
+	a, resA, _, err := ProfilePaperStyle(prog, t.Input, t.Machine, PaperIntervals{})
 	if err != nil {
 		return nil, err
 	}
-	if out.Status != 0 {
-		return nil, fmt.Errorf("mcf run failed with status %d", out.Status)
+	out, err := mcfOutput(resA.Machine.OutputLongs())
+	if err != nil {
+		return nil, err
 	}
 	st := resA.Machine.Stats()
 	return &Study{
@@ -98,31 +127,25 @@ func RunStudy(p StudyParams) (*Study, error) {
 	}, nil
 }
 
-// TimeMCF runs MCF once without profiling and returns simulated cycles —
-// the measurement behind the §3.3 speedup and §2.1 overhead experiments.
+// TimeMCF runs an MCF study's program once without profiling and returns
+// simulated cycles — the measurement behind the §3.3 speedup and §2.1
+// overhead experiments.
 func TimeMCF(p StudyParams) (uint64, *mcf.Output, error) {
-	prog, err := mcf.Program(p.Layout, cc.Options{
-		HWCProf:      p.HWCProf,
-		PageSizeHeap: p.PageSizeHeap,
-	})
+	t, err := p.Target()
 	if err != nil {
 		return 0, nil, err
 	}
-	ins := mcf.Generate(mcf.DefaultGenParams(p.Trips, p.Seed))
-	cfg := StudyMachine()
-	if p.Machine != nil {
-		cfg = *p.Machine
-	}
-	m, err := RunOnce(prog, ins.Encode(), &cfg)
+	prog, err := cc.Compile(t.Sources, t.Options)
 	if err != nil {
 		return 0, nil, err
 	}
-	out, err := mcf.ParseOutput(m.OutputLongs())
+	m, err := RunOnce(prog, t.Input, t.Machine)
 	if err != nil {
 		return 0, nil, err
 	}
-	if out.Status != 0 {
-		return 0, nil, fmt.Errorf("mcf run failed with status %d", out.Status)
+	out, err := mcfOutput(m.OutputLongs())
+	if err != nil {
+		return 0, nil, err
 	}
 	return m.Stats().Cycles, out, nil
 }
@@ -131,8 +154,9 @@ func TimeMCF(p StudyParams) (uint64, *mcf.Output, error) {
 
 // Figure1 renders the <Total> metrics (paper Figure 1).
 func (s *Study) Figure1(w io.Writer) {
-	fmt.Fprintf(w, "Figure 1: performance metrics for <Total>  (trips=%d, layout=%v)\n\n",
-		s.Params.Trips, s.Params.Layout)
+	l, _ := s.Params.Workload.Layout(s.Params.Layout) // RunStudy resolved it
+	fmt.Fprintf(w, "Figure 1: performance metrics for <Total>  (trips=%d, layout=%s)\n\n",
+		s.Params.Size, s.Params.Workload.Layouts[l])
 	s.Analyzer.TotalReport(w)
 }
 

@@ -418,9 +418,10 @@ func (m *Machine) Step() error {
 }
 
 // exec1 executes the predecoded instruction d at pc: instruction fetch,
-// dispatch, cycle accounting and the PC/NPC advance. Both the reference
-// stepper and the fast inner loop retire instructions through it, so the
-// two paths cannot diverge on architectural state. On a trap the PC does
+// dispatch, cycle accounting and the PC/NPC advance. Only the reference
+// stepper (Step) calls it; runInner mirrors its semantics with the hot
+// state held in locals, and the equivalence tests named at runInner hold
+// the two to byte-identical runs. On a trap the PC does
 // not advance and no cycles are charged (matching the pre-decode
 // stepper), though fetch side effects already taken (I$ state, the icm
 // event) remain.

@@ -35,15 +35,11 @@ type AdviseSpec struct {
 
 // Validate checks the spec at the API boundary.
 func (s *AdviseSpec) Validate() error {
-	switch s.Layout {
-	case "", "paper", "optimized":
-	default:
-		return fmt.Errorf("profd: unknown mcf layout %q (want paper or optimized)", s.Layout)
+	if _, err := core.MCF.Layout(s.Layout); err != nil {
+		return fmt.Errorf("profd: %w", err)
 	}
-	switch s.MachineConfig {
-	case "", "default", "scaled", "study":
-	default:
-		return fmt.Errorf("profd: unknown machine config %q (want default, scaled or study)", s.MachineConfig)
+	if _, err := core.MachineConfig(s.MachineConfig); err != nil {
+		return fmt.Errorf("profd: %w", err)
 	}
 	if s.Trips < 0 {
 		return fmt.Errorf("profd: negative trips %d", s.Trips)
@@ -57,13 +53,13 @@ func (s *AdviseSpec) Validate() error {
 func (s *AdviseSpec) withDefaults() AdviseSpec {
 	d := *s
 	if d.Trips == 0 {
-		d.Trips = 1200
+		d.Trips = core.MCF.DefaultSize
 	}
 	if d.Seed == 0 {
-		d.Seed = 20030717
+		d.Seed = core.DefaultSeed
 	}
 	if d.Layout == "" {
-		d.Layout = "paper"
+		d.Layout = core.MCF.Layouts[0]
 	}
 	if d.MaxRecs == 0 {
 		d.MaxRecs = 20
@@ -222,18 +218,16 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 
 	// Baseline: the paper's two-experiment collection, as ordinary
 	// scheduler jobs.
-	iv := core.ScaledIntervals(spec.Trips)
-	countersA := fmt.Sprintf("+ecstall,%d,+ecrm,%d", ivDefault(iv.ECStall, 100003), ivDefault(iv.ECRdMiss, 2003))
-	countersB := fmt.Sprintf("+ecref,%d,+dtlbm,%d", ivDefault(iv.ECRef, 10007), ivDefault(iv.DTLBMiss, 997))
+	w := core.MCF
+	iv := w.Intervals(spec.Trips).WithDefaults()
 	base := JobSpec{
-		Program: ProgramMCF, Layout: spec.Layout, Trips: spec.Trips, Seed: spec.Seed,
+		Program: w.Name, Layout: spec.Layout, Trips: spec.Trips, Seed: spec.Seed,
 		MachineConfig: spec.MachineConfig, TimeoutSec: spec.TimeoutSec,
 	}
 	specA, specB := base, base
 	specA.Clock = true
-	specA.ClockIntervalCycles = ivDefault(iv.ClockTick, 900007)
-	specA.Counters = countersA
-	specB.Counters = countersB
+	specA.ClockIntervalCycles = iv.ClockTick
+	specA.Counters, specB.Counters = iv.Specs()
 
 	var ids []string
 	for _, s := range []JobSpec{specA, specB} {
@@ -268,10 +262,17 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 	j.advice = adv
 	j.mu.Unlock()
 
-	target := core.MCFTarget(core.StudyParams{
-		Trips: spec.Trips, Seed: spec.Seed, Layout: base.mcfLayout(), HWCProf: true,
-		Machine: machineFor(spec.MachineConfig),
-	})
+	cfg, err := core.MachineConfig(spec.MachineConfig)
+	if err != nil {
+		return err
+	}
+	target, err := core.StudyParams{
+		Workload: w, Layout: spec.Layout, Size: spec.Trips, Seed: spec.Seed,
+		HWCProf: true, Machine: &cfg,
+	}.Target()
+	if err != nil {
+		return err
+	}
 	valid, err := advisor.Validate(ctx, target, adv, a)
 	if err != nil {
 		return err
@@ -311,11 +312,4 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 	j.report = buf.Bytes()
 	j.mu.Unlock()
 	return nil
-}
-
-func ivDefault(v, def uint64) uint64 {
-	if v == 0 {
-		return def
-	}
-	return v
 }

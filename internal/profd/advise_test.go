@@ -197,3 +197,41 @@ func TestAdvisorHTTPErrors(t *testing.T) {
 		t.Errorf("unknown advise report = %d, want 404", code)
 	}
 }
+
+// TestAdviseBaselineStoreKeys pins the store keys of the JobSpecs the
+// advise loop builds for its baseline A and B runs: TestConfigHash pins
+// the hash function, this pins what runLoop feeds it. Never regenerate
+// these literals to make the test pass.
+func TestAdviseBaselineStoreKeys(t *testing.T) {
+	for _, tc := range []struct {
+		layout string
+		want   [2]string
+	}{
+		{"", [2]string{"783a8fb2f82d6251", "0961d517875bf3a0"}},
+		{"optimized", [2]string{"f565a0ab92c73ae8", "6052e07ab22df2ad"}},
+	} {
+		store, sched := newTestService(t, 2)
+		j, err := NewAdviser(sched, store).Submit(AdviseSpec{Trips: 60, Layout: tc.layout, MachineConfig: "scaled", MaxRecs: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(180 * time.Second):
+			t.Fatalf("layout %q: advise job did not finish", tc.layout)
+		}
+		st := j.Status()
+		if st.State != JobDone || len(st.BaselineExps) != 2 {
+			t.Fatalf("layout %q: advise job %v with baseline %v: %s", tc.layout, st.State, st.BaselineExps, st.Error)
+		}
+		for i, id := range st.BaselineExps {
+			rec, ok := store.Get(id)
+			if !ok {
+				t.Fatalf("layout %q: baseline %s missing from the store", tc.layout, id)
+			}
+			if rec.Hash != tc.want[i] {
+				t.Errorf("layout %q: baseline %c hash %s, want %s", tc.layout, "AB"[i], rec.Hash, tc.want[i])
+			}
+		}
+	}
+}

@@ -1,9 +1,9 @@
 package profd
 
 // builder.go resolves job specs into runnable (program, input, machine)
-// triples, memoizing compiles and generated MCF instances so a sweep of
-// N jobs over one program compiles once and generates each distinct
-// instance once, no matter how many workers race on it.
+// triples, memoizing compiles and generated workload instances so a
+// sweep of N jobs over one program compiles once and generates each
+// distinct instance once, no matter how many workers race on it.
 
 import (
 	"crypto/sha256"
@@ -15,8 +15,6 @@ import (
 	"dsprof/internal/cc"
 	"dsprof/internal/core"
 	"dsprof/internal/machine"
-	"dsprof/internal/mcf"
-	"dsprof/internal/nbody"
 )
 
 // progEntry is one memoized compile (singleflight: the first goroutine
@@ -71,40 +69,36 @@ func (b *builder) inputEntryFor(key string) *inputEntry {
 // machine configuration for one collect run. Compiled programs are
 // shared across jobs: they are read-only during simulation.
 func (b *builder) Resolve(spec *JobSpec) (*asm.Program, []int64, *machine.Config, error) {
-	prog, err := b.program(spec)
+	w, _ := core.LookupWorkload(spec.Program) // nil unless a bundled workload
+	prog, err := b.program(spec, w)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	input := spec.Input
-	if len(input) == 0 {
-		switch spec.Program {
-		case ProgramMCF:
-			input = b.mcfInput(spec)
-		case ProgramNBody:
-			input = b.nbodyInput(spec)
-		}
+	if len(input) == 0 && w != nil {
+		input = b.input(spec, w)
 	}
-	cfg := machineFor(spec.MachineConfig)
-	return prog, input, cfg, nil
+	cfg, err := core.MachineConfig(spec.MachineConfig)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return prog, input, &cfg, nil
 }
 
-func (b *builder) program(spec *JobSpec) (*asm.Program, error) {
+func (b *builder) program(spec *JobSpec, w *core.Workload) (*asm.Program, error) {
 	switch {
-	case spec.Program == ProgramMCF:
-		key := fmt.Sprintf("mcf/%s/%d", spec.Layout, spec.PageSizeHeap)
+	case w != nil:
+		l, err := w.Layout(spec.Layout)
+		if err != nil {
+			return nil, err
+		}
+		// Keyed by the resolved layout, so an empty layout and the
+		// default's name share one compile. ConfigHash still hashes the
+		// raw Layout on purpose: store keys are pinned.
+		key := fmt.Sprintf("%s/%d/%d", w.Name, l, spec.PageSizeHeap)
 		e := b.progEntryFor(key)
 		e.once.Do(func() {
-			e.prog, e.err = mcf.Program(spec.mcfLayout(), cc.Options{
-				HWCProf:      true,
-				PageSizeHeap: spec.PageSizeHeap,
-			})
-		})
-		return e.prog, e.err
-	case spec.Program == ProgramNBody:
-		key := fmt.Sprintf("nbody/%s/%d", spec.Layout, spec.PageSizeHeap)
-		e := b.progEntryFor(key)
-		e.once.Do(func() {
-			e.prog, e.err = nbody.Program(spec.nbodyVariant(), cc.Options{
+			e.prog, e.err = w.Program(l, cc.Options{
 				HWCProf:      true,
 				PageSizeHeap: spec.PageSizeHeap,
 			})
@@ -130,51 +124,20 @@ func (b *builder) program(spec *JobSpec) (*asm.Program, error) {
 	}
 }
 
-func (b *builder) mcfInput(spec *JobSpec) []int64 {
-	trips := spec.Trips
-	if trips == 0 {
-		trips = 1200
+// input generates (once) the workload instance the spec selects; a zero
+// size or seed selects the default.
+func (b *builder) input(spec *JobSpec, w *core.Workload) []int64 {
+	size, seed := spec.Trips, spec.Seed
+	if size == 0 {
+		size = w.DefaultSize
 	}
-	seed := spec.Seed
 	if seed == 0 {
-		seed = 20030717
+		seed = core.DefaultSeed
 	}
-	key := fmt.Sprintf("mcf/%d/%d", trips, seed)
+	key := fmt.Sprintf("%s/%d/%d", w.Name, size, seed)
 	e := b.inputEntryFor(key)
 	e.once.Do(func() {
-		e.input = mcf.Generate(mcf.DefaultGenParams(trips, seed)).Encode()
+		e.input = w.Generate(size, seed)
 	})
 	return e.input
-}
-
-func (b *builder) nbodyInput(spec *JobSpec) []int64 {
-	papers := spec.Trips
-	if papers == 0 {
-		papers = 2000
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 20030717
-	}
-	key := fmt.Sprintf("nbody/%d/%d", papers, seed)
-	e := b.inputEntryFor(key)
-	e.once.Do(func() {
-		e.input = nbody.Generate(nbody.DefaultGenParams(papers, seed)).Encode()
-	})
-	return e.input
-}
-
-// machineFor maps the spec's machine selector to a configuration. The
-// default is the paper-scale study machine, matching core.RunStudy.
-func machineFor(name string) *machine.Config {
-	var cfg machine.Config
-	switch name {
-	case "default":
-		cfg = machine.DefaultConfig()
-	case "scaled":
-		cfg = machine.ScaledConfig()
-	default: // "study", ""
-		cfg = core.StudyMachine()
-	}
-	return &cfg
 }

@@ -20,11 +20,11 @@ import (
 	"fmt"
 
 	"dsprof/internal/collect"
-	"dsprof/internal/mcf"
-	"dsprof/internal/nbody"
+	"dsprof/internal/core"
 )
 
-// Program selectors understood by JobSpec.Program.
+// Program selectors understood by JobSpec.Program: the names of core's
+// bundled workloads (core.LookupWorkload).
 const (
 	// ProgramMCF is the built-in MCF workload (the paper's case study);
 	// Layout/Trips/Seed select the variant and instance.
@@ -39,9 +39,9 @@ const (
 // JobSpec describes one profiling job: a program, its input, and the
 // counter specification for a single collect run.
 type JobSpec struct {
-	// Program selects the target: "mcf" for the built-in MCF workload,
-	// or a path to a compiled .obj file readable by the service. Leave
-	// empty to compile Source instead.
+	// Program selects the target: a bundled workload ("mcf" or
+	// "nbody"), or a path to a compiled .obj file readable by the
+	// service. Leave empty to compile Source instead.
 	Program string `json:"program,omitempty"`
 	// Source is inline MC source text, compiled with the paper's
 	// memory-profiling flags. Name names the resulting program.
@@ -102,28 +102,16 @@ func (s *JobSpec) Validate() error {
 	if selectors > 1 {
 		return errors.New("profd: program and source are mutually exclusive")
 	}
-	if s.Program == ProgramMCF || s.Program == ProgramNBody {
-		if s.Program == ProgramMCF {
-			switch s.Layout {
-			case "", "paper", "optimized":
-			default:
-				return fmt.Errorf("profd: unknown mcf layout %q (want paper or optimized)", s.Layout)
-			}
-		} else {
-			switch s.Layout {
-			case "", "baseline", "compressed":
-			default:
-				return fmt.Errorf("profd: unknown nbody layout %q (want baseline or compressed)", s.Layout)
-			}
+	if w, err := core.LookupWorkload(s.Program); err == nil {
+		if _, err := w.Layout(s.Layout); err != nil {
+			return fmt.Errorf("profd: %w", err)
 		}
 		if s.Trips < 0 {
 			return fmt.Errorf("profd: negative trips %d", s.Trips)
 		}
 	}
-	switch s.MachineConfig {
-	case "", "default", "scaled", "study":
-	default:
-		return fmt.Errorf("profd: unknown machine config %q (want default, scaled or study)", s.MachineConfig)
+	if _, err := core.MachineConfig(s.MachineConfig); err != nil {
+		return fmt.Errorf("profd: %w", err)
 	}
 	if !s.Clock && s.Counters == "" {
 		return errors.New("profd: job profiles nothing: enable clock or arm counters")
@@ -138,22 +126,6 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("profd: negative maxRetries %d", s.MaxRetries)
 	}
 	return nil
-}
-
-// mcfLayout maps the spec's layout name to the workload parameter.
-func (s *JobSpec) mcfLayout() mcf.Layout {
-	if s.Layout == "optimized" {
-		return mcf.LayoutOptimized
-	}
-	return mcf.LayoutPaper
-}
-
-// nbodyVariant maps the spec's layout name to the link encoding.
-func (s *JobSpec) nbodyVariant() nbody.Variant {
-	if s.Layout == "compressed" {
-		return nbody.VariantCompressed
-	}
-	return nbody.VariantBaseline
 }
 
 // ConfigHash is the experiment-store index key: a digest of every field

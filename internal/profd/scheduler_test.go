@@ -350,6 +350,35 @@ func TestBuilderMemoizesCompiles(t *testing.T) {
 	}
 }
 
+// TestBuilderSharesDefaultLayout: a bundled-workload job that leaves the
+// layout empty and one that names the default layout run the same
+// program, so they must share one compile.
+func TestBuilderSharesDefaultLayout(t *testing.T) {
+	b := newBuilder()
+	for _, tc := range []struct{ program, layout string }{
+		{ProgramMCF, "paper"},
+		{ProgramNBody, "baseline"},
+	} {
+		bare := JobSpec{Program: tc.program, Trips: 40, Clock: true}
+		named := bare
+		named.Layout = tc.layout
+		p1, _, _, err := b.Resolve(&bare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, _, _, err := b.Resolve(&named)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p1 != p2 {
+			t.Errorf("%s: layout \"\" and %q resolved to distinct programs", tc.program, tc.layout)
+		}
+	}
+	if len(b.progs) != 2 {
+		t.Errorf("builder holds %d compile entries, want 2", len(b.progs))
+	}
+}
+
 // TestCancelUnknownJob covers the error path.
 func TestCancelUnknownJob(t *testing.T) {
 	_, sched := newTestService(t, 1)

@@ -10,7 +10,7 @@ import (
 )
 
 // TestToolPipeline drives the command-line tools end to end, exactly as
-// the README documents: mcfgen → mcc → collect ×2 → erprint.
+// the README documents: gen → mcc → collect ×2 → erprint.
 func TestToolPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the CLI tools")
@@ -18,7 +18,7 @@ func TestToolPipeline(t *testing.T) {
 	dir := t.TempDir()
 	bin := func(name string) string { return filepath.Join(dir, name) }
 
-	for _, tool := range []string{"mcc", "collect", "erprint", "mcfgen"} {
+	for _, tool := range []string{"mcc", "collect", "erprint", "gen", "dsadvise"} {
 		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
@@ -34,14 +34,39 @@ func TestToolPipeline(t *testing.T) {
 		}
 		return string(out)
 	}
+	// fails runs a command that must exit with status code and leave
+	// the file it was told to write (if any) exactly as it was.
+	fails := func(code int, keep, name string, args ...string) {
+		t.Helper()
+		const prior = "prior content\n"
+		if keep != "" {
+			if err := os.WriteFile(filepath.Join(dir, keep), []byte(prior), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cmd := exec.Command(bin(name), args...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != code {
+			t.Errorf("%s %v: %v, want exit status %d\n%s", name, args, err, code, out)
+		}
+		if keep != "" {
+			if got, err := os.ReadFile(filepath.Join(dir, keep)); err != nil || string(got) != prior {
+				t.Errorf("%s %v: %s now holds %q (%v), want its prior content", name, args, keep, got, err)
+			}
+		}
+	}
 
 	// Generate the program source and an instance.
-	run("mcfgen", "-emit-source", "-layout", "paper", "-o", "mcf.mc")
-	run("mcfgen", "-trips", "120", "-seed", "7", "-o", "mcf.in")
-	solve := run("mcfgen", "-trips", "120", "-seed", "7", "-solve")
+	run("gen", "-workload", "mcf", "-emit-source", "-layout", "paper", "-o", "mcf.mc")
+	run("gen", "-workload", "mcf", "-size", "120", "-seed", "7", "-o", "mcf.in")
+	solve := run("gen", "-workload", "mcf", "-size", "120", "-seed", "7", "-reference")
 	if !strings.Contains(solve, "netsimplex optimum=") {
-		t.Fatalf("mcfgen -solve output:\n%s", solve)
+		t.Fatalf("gen -reference output:\n%s", solve)
 	}
+	// A bad flag is a usage error found before any output is written.
+	fails(2, "src.mc", "gen", "-emit-source", "-layout", "bogus", "-o", "src.mc")
 
 	// Compile with the paper's flags.
 	out := run("mcc", "-xhwcprof", "-xdebugformat=dwarf", "-o", "mcf.obj", "mcf.mc")
@@ -71,14 +96,7 @@ func TestToolPipeline(t *testing.T) {
 		{"-prov", "of"},
 		{"-backend", "fast"},
 	} {
-		args = append(args, "-scaled", "-o", "bad.er", "-h", "+ecstall,20011", "-input", "mcf.in", "mcf.obj")
-		cmd := exec.Command(bin("collect"), args...)
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Errorf("collect %v: %v, want exit status 2\n%s", args, err, out)
-		}
+		fails(2, "", "collect", append(args, "-scaled", "-o", "bad.er", "-h", "+ecstall,20011", "-input", "mcf.in", "mcf.obj")...)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "bad.er")); !os.IsNotExist(err) {
 		t.Errorf("rejected collects left bad.er behind (stat: %v)", err)
@@ -113,6 +131,12 @@ func TestToolPipeline(t *testing.T) {
 			t.Errorf("erprint output missing %q", want)
 		}
 	}
+
+	// A report that fails (pool advice needs provenance, which exp1.er
+	// lacks) leaves an existing -o FILE untouched.
+	fails(1, "adv.txt", "dsadvise", "advice", "-pools", "-o", "adv.txt", "exp1.er")
+	// Layout names belong to their workload: n-body has no "optimized".
+	fails(2, "", "dsadvise", "loop", "-workload", "nbody", "-layout", "optimized")
 
 	// STABS build refuses data-object attribution.
 	run("mcc", "-xhwcprof", "-xdebugformat=stabs", "-o", "mcf-stabs.obj", "mcf.mc")
