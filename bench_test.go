@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -609,7 +608,7 @@ func BenchmarkAblationNoPadding(b *testing.B) {
 	b.ReportMetric(100*s.Analyzer.Effectiveness(hwc.EvECStall), "%effectiveness(withHwcprof)")
 }
 
-// --- interpreter fast path (DESIGN.md §7) ---
+// --- simulator fast path (DESIGN.md §7, §11) ---
 
 // simcoreMu guards BENCH_simcore.json, which the fast-path benchmarks
 // below merge their numbers into (the CI bench-smoke job uploads it).
@@ -664,9 +663,9 @@ func newSimcoreMachine(b *testing.B, prog *asm.Program, input []int64, cfg machi
 }
 
 // steadyAllocs reports the steady-state allocation count of a machine's
-// batched loop: run a fresh machine past warm-up (with translation on
-// that includes translating the hot blocks), then count
-// allocations across large RunFor batches.
+// batched loop: run a fresh machine past warm-up (which includes
+// translating the hot blocks), then count allocations across large
+// RunFor batches.
 func steadyAllocs(b *testing.B, m *machine.Machine) float64 {
 	b.Helper()
 	if err := m.RunFor(1 << 22); err != nil {
@@ -681,50 +680,50 @@ func steadyAllocs(b *testing.B, m *machine.Machine) float64 {
 	})
 }
 
-// BenchmarkMachineRun measures unarmed interpreter throughput: a full
-// unprofiled MCF run on the event-horizon interpreter alone (Run with
-// translation held off by SetTranslationHeat(math.MaxUint32), the
-// baseline translation is measured against) versus the
+// BenchmarkMachineRun measures unarmed engine throughput: a full
+// unprofiled MCF run on the default engine (Run) versus the
 // instruction-granular reference stepper, plus the steady-state
-// allocation count of the interpreter loop. With translation held off
-// the batched engine still enters runMixed, so the interpreter runs in
-// chunks of at most 4096 instructions with one cold translation probe
-// each, rather than one runInner call per horizon.
+// allocation count of the engine loop. The produced executions are
+// identical (TestFastPathEquivalence holds both to the same state); only
+// the wall-clock differs. Best-of timings with their recorded spreads
+// keep speedup_vs_step, the number the CI bench-smoke gate watches,
+// stable.
 func BenchmarkMachineRun(b *testing.B) {
 	prog, input, cfg := simcoreProg(b)
 
-	var fastSec, stepSec float64
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
+	var instrs, stepInstrs uint64
+	timeRun := func(step bool) float64 {
 		m := newSimcoreMachine(b, prog, input, cfg)
-		m.SetTranslationHeat(math.MaxUint32)
 		t0 := time.Now()
-		if err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-		fastSec = time.Since(t0).Seconds()
-		instrs = m.Stats().Instrs
-
-		m = newSimcoreMachine(b, prog, input, cfg)
-		t0 = time.Now()
-		for !m.Halted() {
-			if err := m.Step(); err != nil {
+		if step {
+			for !m.Halted() {
+				if err := m.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			stepInstrs = m.Stats().Instrs
+		} else {
+			if err := m.Run(); err != nil {
 				b.Fatal(err)
 			}
+			instrs = m.Stats().Instrs
 		}
-		stepSec = time.Since(t0).Seconds()
-		if m.Stats().Instrs != instrs {
-			b.Fatalf("step loop retired %d instrs, fast path %d", m.Stats().Instrs, instrs)
-		}
+		return time.Since(t0).Seconds()
+	}
+	var runSec, stepSec, runSpread, stepSpread float64
+	for i := 0; i < b.N; i++ {
+		runSec, runSpread = bestOf(5, func() float64 { return timeRun(false) })
+		stepSec, stepSpread = bestOf(2, func() float64 { return timeRun(true) })
+	}
+	if stepInstrs != instrs {
+		b.Fatalf("step loop retired %d instrs, Run %d", stepInstrs, instrs)
 	}
 
-	warm := newSimcoreMachine(b, prog, input, cfg)
-	warm.SetTranslationHeat(math.MaxUint32)
-	allocs := steadyAllocs(b, warm)
+	allocs := steadyAllocs(b, newSimcoreMachine(b, prog, input, cfg))
 
-	instrsPerSec := float64(instrs) / fastSec
-	nsPerInstr := fastSec * 1e9 / float64(instrs)
-	speedup := stepSec / fastSec
+	instrsPerSec := float64(instrs) / runSec
+	nsPerInstr := runSec * 1e9 / float64(instrs)
+	speedup := stepSec / runSec
 	b.ReportMetric(instrsPerSec/1e6, "Minstrs/sec")
 	b.ReportMetric(nsPerInstr, "ns/instr")
 	b.ReportMetric(speedup, "xSpeedupVsStep")
@@ -735,59 +734,8 @@ func BenchmarkMachineRun(b *testing.B) {
 		"ns_per_instr":         nsPerInstr,
 		"step_ns_per_instr":    stepSec * 1e9 / float64(instrs),
 		"speedup_vs_step":      speedup,
-		"steady_allocs_per_op": allocs,
-	})
-}
-
-// BenchmarkMachineRunTranslated measures the default engine, which
-// translates hot superblocks, on the same full unprofiled MCF run,
-// against the same engine with translation held off
-// (SetTranslationHeat(math.MaxUint32); BenchmarkMachineRun notes how
-// that baseline runs). The produced executions are identical
-// (TestFastPathEquivalence holds both to the reference stepper); only
-// the wall-clock differs. speedup_vs_fast is the number the CI
-// bench-smoke gate watches.
-func BenchmarkMachineRunTranslated(b *testing.B) {
-	prog, input, cfg := simcoreProg(b)
-
-	var transSec, fastSec float64
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		m := newSimcoreMachine(b, prog, input, cfg)
-		t0 := time.Now()
-		if err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-		transSec = time.Since(t0).Seconds()
-		instrs = m.Stats().Instrs
-
-		m = newSimcoreMachine(b, prog, input, cfg)
-		m.SetTranslationHeat(math.MaxUint32)
-		t0 = time.Now()
-		if err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-		fastSec = time.Since(t0).Seconds()
-		if m.Stats().Instrs != instrs {
-			b.Fatalf("interpreter alone retired %d instrs, translated %d", m.Stats().Instrs, instrs)
-		}
-	}
-
-	warm := newSimcoreMachine(b, prog, input, cfg)
-	allocs := steadyAllocs(b, warm)
-
-	nsPerInstr := transSec * 1e9 / float64(instrs)
-	speedup := fastSec / transSec
-	b.ReportMetric(float64(instrs)/transSec/1e6, "Minstrs/sec")
-	b.ReportMetric(nsPerInstr, "ns/instr")
-	b.ReportMetric(speedup, "xSpeedupVsFast")
-	b.ReportMetric(allocs, "steadyAllocs/op")
-	recordSimcore(b, "machine_run_translated", map[string]float64{
-		"instrs":               float64(instrs),
-		"instrs_per_sec":       float64(instrs) / transSec,
-		"ns_per_instr":         nsPerInstr,
-		"fast_ns_per_instr":    fastSec * 1e9 / float64(instrs),
-		"speedup_vs_fast":      speedup,
+		"spread_pct":           runSpread,
+		"spread_pct_step":      stepSpread,
 		"steady_allocs_per_op": allocs,
 	})
 }
@@ -869,9 +817,9 @@ func BenchmarkMachineRunALU(b *testing.B) {
 }
 
 // bestOf runs f n times and returns the fastest timing plus the spread —
-// how far the slowest run sat above the fastest, in percent. The armed
-// collect and provenance benchmarks compare two timings of the same
-// work, so a single noisy run used to produce impossible figures
+// how far the slowest run sat above the fastest, in percent. The unarmed
+// run, armed collect and provenance benchmarks compare two timings of
+// the same work, so a single noisy run used to produce impossible figures
 // (negative overhead); the best-of-n minimum is the stable estimate of
 // the true cost, and the recorded spread documents how noisy the box
 // was.
@@ -890,46 +838,13 @@ func bestOf(n int, f func() float64) (best, spreadPct float64) {
 	return best, (worst/best - 1) * 100
 }
 
-// armLikeCollect arms m the way collect.RunContext arms a clock-profiled
-// collect with backtracking on both counters: the collector's default
-// clock tick, both PICs from specs, and an OnOverflow that runs apropos
-// backtracking and effective-address recovery on every event. The
-// callbacks only count what they see.
-func armLikeCollect(b *testing.B, m *machine.Machine, prog *asm.Program, cfg machine.Config, specs []experiment.CounterSpec, events *uint64) {
-	b.Helper()
-	m.ClockTickCycles = collect.DefaultClockIntervalCycles(cfg.ClockHz)
-	m.OnClockTick = func(*machine.ClockTick) { *events++ }
-	for pic, cs := range specs {
-		if err := m.ArmCounter(pic, cs.Event, cs.Interval); err != nil {
-			b.Fatal(err)
-		}
-	}
-	m.OnOverflow = func(e *machine.OverflowEvent) {
-		*events++
-		if cand, ok := collect.Backtrack(prog, e.DeliveredPC, e.Event, 8); ok {
-			collect.RecoverEA(prog, cand, e.DeliveredPC, &e.Regs)
-		}
-	}
-}
-
 // BenchmarkCollectArmedTranslated measures the armed MCF collect — the
 // configuration every experiment in the paper actually runs: clock
 // profiling plus the E$ stall/read-miss counter set with backtracking.
 // speedup_vs_step compares two full collect.Run calls, the default
-// engine against the reference stepper (SingleStep). speedup_vs_default
-// compares the default engine against the same engine with translation
-// held off (SetTranslationHeat(math.MaxUint32)), the measured stand-in
-// for the pre-budget default, which ran every armed horizon on the
-// interpreter. collect has no engine option, so both sides of that ratio
-// run on bare machines armed the way collect arms them (armLikeCollect);
-// a bare translated run times within a few percent of the same run
-// through collect. The interpreter-only side does not time exactly like
-// the retired fast backend: under the armed-event budget it runs
-// runMixed's interpreter chunks, at most 4096 instructions each with
-// batched event counting, where that backend ran one inline-counting
-// runInner call per horizon. Every run produces the same execution
-// (TestFastPathGolden, TestFastPathEquivalence); best-of-5 timings with
-// the recorded spread keep the CI gates on stable figures.
+// engine against the reference stepper (SingleStep). Both produce the
+// same experiment (TestFastPathGolden); best-of-5 timings with the
+// recorded spread keep the CI gate on stable figures.
 func BenchmarkCollectArmedTranslated(b *testing.B) {
 	prog, input, cfg := simcoreProg(b)
 	specs, err := collect.ParseCounterSpec("+ecstall,100003,+ecrm,2003")
@@ -953,49 +868,22 @@ func BenchmarkCollectArmedTranslated(b *testing.B) {
 		instrs = res.Exp.Meta.Stats.Instrs
 		return time.Since(t0).Seconds()
 	}
-	runBare := func(heat uint32, events *uint64) float64 {
-		m := newSimcoreMachine(b, prog, input, cfg)
-		m.SetTranslationHeat(heat)
-		*events = 0
-		armLikeCollect(b, m, prog, cfg, specs, events)
-		t0 := time.Now()
-		if err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(t0).Seconds()
-	}
-	var transSec, bareSec, fastSec, stepSec float64
-	var transSpread, bareSpread, fastSpread float64
-	var bareEvents, fastEvents uint64
+	var transSec, stepSec, transSpread float64
 	for i := 0; i < b.N; i++ {
 		transSec, transSpread = bestOf(5, func() float64 { return runCollect(false) })
-		bareSec, bareSpread = bestOf(5, func() float64 { return runBare(0, &bareEvents) })
-		fastSec, fastSpread = bestOf(5, func() float64 { return runBare(math.MaxUint32, &fastEvents) })
 		stepSec, _ = bestOf(2, func() float64 { return runCollect(true) })
 	}
-	if bareEvents == 0 || bareEvents != fastEvents {
-		b.Fatalf("bare runs delivered %d events translated, %d with the interpreter alone", bareEvents, fastEvents)
-	}
-	vsDefault := fastSec / bareSec
 	vsStep := stepSec / transSec
 	b.ReportMetric(transSec, "translatedSec")
-	b.ReportMetric(bareSec, "bareTranslatedSec")
-	b.ReportMetric(fastSec, "fastSec")
 	b.ReportMetric(stepSec, "singleStepSec")
-	b.ReportMetric(vsDefault, "xSpeedupVsDefault")
 	b.ReportMetric(vsStep, "xSpeedupVsStep")
 	b.ReportMetric(float64(instrs)/transSec/1e6, "Minstrs/sec")
 	recordSimcore(b, "collect_armed_translated", map[string]float64{
-		"instrs":              float64(instrs),
-		"translated_sec":      transSec,
-		"bare_translated_sec": bareSec,
-		"fast_sec":            fastSec,
-		"single_step_sec":     stepSec,
-		"speedup_vs_default":  vsDefault,
-		"speedup_vs_step":     vsStep,
-		"spread_pct":          transSpread,
-		"spread_pct_bare":     bareSpread,
-		"spread_pct_fast":     fastSpread,
+		"instrs":          float64(instrs),
+		"translated_sec":  transSec,
+		"single_step_sec": stepSec,
+		"speedup_vs_step": vsStep,
+		"spread_pct":      transSpread,
 	})
 }
 

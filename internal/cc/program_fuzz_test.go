@@ -2,7 +2,6 @@ package cc
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -483,16 +482,16 @@ long main() {
 }
 
 // TestCorpusProgramsDifferential compiles each corpus seed and requires
-// the reference stepper, the batched engine with translation held off
-// (heat math.MaxUint32) and the batched engine translating every block
-// (heat 1) to produce identical outputs and instruction counts.
+// the reference stepper and the engine, driven by Run and by RunFor in
+// 7-instruction slices, to produce identical outputs and instruction
+// counts.
 func TestCorpusProgramsDifferential(t *testing.T) {
 	for _, c := range corpusPrograms {
 		prog, err := Compile([]Source{{Name: c.name + ".mc", Text: c.src}}, Options{Name: c.name, HWCProf: true})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", c.name, err)
 		}
-		run := func(heat uint32, step bool) ([]int64, uint64) {
+		run := func(drive func(m *machine.Machine) error) ([]int64, uint64) {
 			cfg := machine.DefaultConfig()
 			cfg.MaxInstrs = 10_000_000
 			m, err := machine.New(cfg)
@@ -502,29 +501,36 @@ func TestCorpusProgramsDifferential(t *testing.T) {
 			if err := m.LoadProgram(prog.Text, prog.Data, prog.Entry); err != nil {
 				t.Fatal(err)
 			}
-			m.SetTranslationHeat(heat)
-			if step {
-				for !m.Halted() {
-					if err := m.Step(); err != nil {
-						t.Fatalf("%s: step: %v", c.name, err)
-					}
-				}
-			} else if err := m.Run(); err != nil {
-				t.Fatalf("%s: run: %v", c.name, err)
+			if err := drive(m); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
 			}
 			return m.OutputLongs(), m.Stats().Instrs
 		}
-		refOut, refN := run(0, true)
-		interpOut, interpN := run(math.MaxUint32, false)
-		transOut, transN := run(1, false)
+		refOut, refN := run(func(m *machine.Machine) error {
+			for !m.Halted() {
+				if err := m.Step(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		runOut, runN := run((*machine.Machine).Run)
+		slicedOut, slicedN := run(func(m *machine.Machine) error {
+			for !m.Halted() {
+				if err := m.RunFor(7); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 		if len(refOut) == 0 {
 			t.Fatalf("%s: no output", c.name)
 		}
-		if !reflect.DeepEqual(refOut, interpOut) || refN != interpN {
-			t.Errorf("%s: step (%v, %d instrs) vs interpreter-only (%v, %d instrs)", c.name, refOut, refN, interpOut, interpN)
+		if !reflect.DeepEqual(refOut, runOut) || refN != runN {
+			t.Errorf("%s: step (%v, %d instrs) vs Run (%v, %d instrs)", c.name, refOut, refN, runOut, runN)
 		}
-		if !reflect.DeepEqual(refOut, transOut) || refN != transN {
-			t.Errorf("%s: step (%v, %d instrs) vs translated (%v, %d instrs)", c.name, refOut, refN, transOut, transN)
+		if !reflect.DeepEqual(refOut, slicedOut) || refN != slicedN {
+			t.Errorf("%s: step (%v, %d instrs) vs RunFor (%v, %d instrs)", c.name, refOut, refN, slicedOut, slicedN)
 		}
 	}
 }

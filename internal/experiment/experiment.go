@@ -10,12 +10,11 @@
 // PC from apropos backtracking, and the recovered effective address are
 // recorded.
 //
-// Two format versions exist. Version 1 stored each PIC's events as one
-// monolithic gob blob (hwc0.gob/hwc1.gob); version 2 stores them as
-// sharded files (hwc0.ev2/hwc1.ev2, see shard.go) so events stream to
-// disk as collected and analysis can read disjoint shards in parallel.
-// Load and Open negotiate the version from the meta header: v1
-// experiments remain fully readable through a compatibility decoder.
+// Counter events are stored as sharded files (hwc0.ev2/hwc1.ev2, see
+// shard.go) so events stream to disk as collected and analysis can read
+// disjoint shards in parallel. This is format version 2; version 1, one
+// monolithic gob blob per PIC, is no longer read, and Load and Open ask
+// for such an experiment to be re-collected.
 package experiment
 
 import (
@@ -72,14 +71,13 @@ type ClockEvent struct {
 }
 
 // FormatVersion is the current on-disk experiment format version,
-// written into Meta by Save. Load still reads version 1 (monolithic gob
-// event blobs) through a compatibility decoder; any other version — a
-// truncated meta file (version 0) or a future format — is rejected so
+// written into Meta by Save. Any other version — the retired version 1,
+// a truncated meta file (version 0) or a future format — is rejected so
 // it never decodes into silently wrong data.
 const FormatVersion = 2
 
 // oldestReadableVersion is the oldest format Load still understands.
-const oldestReadableVersion = 1
+const oldestReadableVersion = 2
 
 // Meta is the experiment header (the log/loadobjects information).
 type Meta struct {
@@ -148,10 +146,8 @@ const (
 	logFile    = "log.txt"
 	metaFile   = "meta.gob"
 	clockFile  = "clock.gob"
-	hwcFile0   = "hwc0.gob" // format v1
-	hwcFile1   = "hwc1.gob" // format v1
-	hwcEv2_0   = "hwc0.ev2" // format v2 (sharded)
-	hwcEv2_1   = "hwc1.ev2" // format v2 (sharded)
+	hwcEv2_0   = "hwc0.ev2" // sharded counter events, PIC 0
+	hwcEv2_1   = "hwc1.ev2" // sharded counter events, PIC 1
 	allocsFile = "allocs.gob"
 	progFile   = "program.obj"
 )
@@ -616,8 +612,7 @@ func (e *Experiment) writeLog(fsys faultfs.FS, dir string) error {
 }
 
 // Load reads an experiment directory written by Save, eagerly: every
-// counter event is decoded into HWC. It reads both the current format
-// and version 1 via the compatibility decoder, and it never panics: a
+// counter event is decoded into HWC. It never panics: a
 // missing directory, a missing or truncated data file, a format version
 // mismatch, an internally inconsistent meta header, or event records
 // inconsistent with the armed counters all produce a descriptive error.
@@ -662,11 +657,8 @@ func Load(dir string) (*Experiment, error) {
 }
 
 // Open reads an experiment directory for streaming: the header, clock
-// data, allocations, and program load eagerly (they are small), but a
-// current-format experiment's counter events stay on disk, exposed
-// through Shards/ReadShard/Events. Version-1 experiments have no shard
-// files, so Open falls back to the eager compatibility path for them;
-// either way the returned experiment presents the same sharded view.
+// data, allocations, and program load eagerly (they are small), but the
+// counter events stay on disk, exposed through Shards/ReadShard/Events.
 // Like Load, Open never panics on corrupted input.
 func Open(dir string) (*Experiment, error) {
 	return open(dir)
@@ -695,64 +687,47 @@ func open(dir string) (*Experiment, error) {
 	if err := readGob(dir, clockFile, &e.Clock); err != nil {
 		return nil, fmt.Errorf("experiment %s: reading clock data: %w", dir, err)
 	}
-	switch e.Meta.FormatVersion {
-	case 1:
-		// v1 compatibility: monolithic gob blobs, decoded eagerly.
-		for pic := 0; pic < NumPICs; pic++ {
-			name := hwcFile0
-			if pic == 1 {
-				name = hwcFile1
-			}
-			if err := readGob(dir, name, &e.HWC[pic]); err != nil {
-				return nil, fmt.Errorf("experiment %s: reading hwc%d data: %w", dir, pic, err)
-			}
-			if err := validateEvents(pic, e.HWC[pic], e.Meta.Counters); err != nil {
-				return nil, fmt.Errorf("experiment %s: %s: %w", dir, name, err)
-			}
-		}
-	default:
-		// v2: scan the shard indexes; payloads stay on disk.
-		for pic := 0; pic < NumPICs; pic++ {
-			path := filepath.Join(dir, hwcV2Name(pic))
-			shards, err := readShardIndex(path, pic)
-			if err != nil {
-				return nil, fmt.Errorf("experiment %s: reading hwc%d shards: %w", dir, pic, err)
-			}
-			if len(shards) == 0 {
-				continue
-			}
-			if e.Meta.Counters[pic].Event == hwc.EvNone {
-				return nil, fmt.Errorf("experiment %s: %s: events recorded for PIC %d, but no counter is armed on it",
-					dir, hwcV2Name(pic), pic)
-			}
-			n := 0
-			for _, sh := range shards {
-				n += sh.Count
-			}
-			e.hwcPath[pic] = path
-			e.hwcShards[pic] = shards
-			e.hwcCount[pic] = n
-		}
-		provPath := filepath.Join(dir, ProvFileName)
-		provShards, err := readProvIndex(provPath)
+	// Scan the shard indexes; payloads stay on disk.
+	for pic := 0; pic < NumPICs; pic++ {
+		path := filepath.Join(dir, hwcV2Name(pic))
+		shards, err := readShardIndex(path, pic)
 		if err != nil {
-			return nil, fmt.Errorf("experiment %s: reading prov shards: %w", dir, err)
+			return nil, fmt.Errorf("experiment %s: reading hwc%d shards: %w", dir, pic, err)
 		}
-		if len(provShards) > 0 {
-			n := 0
-			for _, sh := range provShards {
-				n += sh.Count
-			}
-			e.provPath = provPath
-			e.provShards = provShards
-			e.provCount = n
+		if len(shards) == 0 {
+			continue
 		}
-		// Attach the manifest's shard checksums when one exists, so
-		// every shard read is integrity-checked. Pre-manifest and
-		// recovered-without-manifest experiments load unverified.
-		if m, err := ReadManifest(dir); err == nil {
-			e.attachManifest(m)
+		if e.Meta.Counters[pic].Event == hwc.EvNone {
+			return nil, fmt.Errorf("experiment %s: %s: events recorded for PIC %d, but no counter is armed on it",
+				dir, hwcV2Name(pic), pic)
 		}
+		n := 0
+		for _, sh := range shards {
+			n += sh.Count
+		}
+		e.hwcPath[pic] = path
+		e.hwcShards[pic] = shards
+		e.hwcCount[pic] = n
+	}
+	provPath := filepath.Join(dir, ProvFileName)
+	provShards, err := readProvIndex(provPath)
+	if err != nil {
+		return nil, fmt.Errorf("experiment %s: reading prov shards: %w", dir, err)
+	}
+	if len(provShards) > 0 {
+		n := 0
+		for _, sh := range provShards {
+			n += sh.Count
+		}
+		e.provPath = provPath
+		e.provShards = provShards
+		e.provCount = n
+	}
+	// Attach the manifest's shard checksums when one exists, so
+	// every shard read is integrity-checked. Pre-manifest and
+	// recovered-without-manifest experiments load unverified.
+	if m, err := ReadManifest(dir); err == nil {
+		e.attachManifest(m)
 	}
 	if err := readGob(dir, allocsFile, &e.Allocs); err != nil {
 		return nil, fmt.Errorf("experiment %s: reading allocs: %w", dir, err)

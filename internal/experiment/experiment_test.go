@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -232,11 +233,14 @@ func TestLoadRejectsBadCounterSlots(t *testing.T) {
 	}
 }
 
-// saveV1 writes an experiment in the legacy monolithic format, for
-// compatibility and corruption tests.
-func saveV1(t *testing.T, e *Experiment, dir string) {
-	t.Helper()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// TestV1Compat checks that a format-version-1 experiment, whose reader
+// is retired, is refused everywhere with an actionable error: Load and
+// Open ask for a re-collect, ReadMeta reports the version, and Recover
+// reports it unrecoverable rather than rewriting it.
+func TestV1Compat(t *testing.T) {
+	e := sample()
+	dir := filepath.Join(t.TempDir(), "v1.er")
+	if err := e.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 	meta := e.Meta
@@ -244,63 +248,23 @@ func saveV1(t *testing.T, e *Experiment, dir string) {
 	if err := writeGob(faultfs.OS, dir, metaFile, &meta); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeGob(faultfs.OS, dir, clockFile, e.Clock); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeGob(faultfs.OS, dir, hwcFile0, e.HWC[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeGob(faultfs.OS, dir, hwcFile1, e.HWC[1]); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeGob(faultfs.OS, dir, allocsFile, e.Allocs); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Prog.SaveFile(filepath.Join(dir, progFile)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestV1Compat checks that legacy monolithic-gob experiments still load,
-// through both Load and Open, with identical events.
-func TestV1Compat(t *testing.T) {
-	e := sample()
-	dir := filepath.Join(t.TempDir(), "v1.er")
-	saveV1(t, e, dir)
-	for _, fn := range []func(string) (*Experiment, error){Load, Open} {
-		back, err := fn(dir)
-		if err != nil {
-			t.Fatal(err)
+	for name, fn := range map[string]func(string) (*Experiment, error){"Load": Load, "Open": Open} {
+		if _, err := fn(dir); err == nil || !strings.Contains(err.Error(), "re-collect the experiment") {
+			t.Errorf("%s of a v1 experiment: %v, want a re-collect error", name, err)
 		}
-		if back.Meta.FormatVersion != 1 {
-			t.Errorf("FormatVersion = %d", back.Meta.FormatVersion)
-		}
-		if back.EventCount(0) != 1 || back.EventCount(1) != 0 {
-			t.Errorf("EventCount = %d,%d", back.EventCount(0), back.EventCount(1))
-		}
-		var got []HWCEvent
-		if err := back.Events(func(ev HWCEvent) error { got = append(got, ev); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || got[0].EA != 0x40000000 {
-			t.Errorf("Events = %+v", got)
-		}
+	}
+	if _, err := ReadMeta(dir); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Errorf("ReadMeta of a v1 experiment: %v, want a version error", err)
+	}
+	if _, err := Recover(dir); !errors.Is(err, ErrUnrecoverable) {
+		t.Errorf("Recover of a v1 experiment: %v, want ErrUnrecoverable", err)
 	}
 }
 
 // TestLoadRejectsBadPIC: a decoded event whose PIC doesn't match its
-// stream must be rejected on load, in both formats, before it can drive
-// an out-of-range index in the analyzer.
+// stream must be rejected on load, before it can drive an out-of-range
+// index in the analyzer.
 func TestLoadRejectsBadPIC(t *testing.T) {
-	t.Run("v1", func(t *testing.T) {
-		e := sample()
-		e.HWC[0][0].PIC = 7
-		dir := filepath.Join(t.TempDir(), "v1.er")
-		saveV1(t, e, dir)
-		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "PIC") {
-			t.Errorf("Load of event with PIC 7: %v", err)
-		}
-	})
 	t.Run("v2", func(t *testing.T) {
 		e := sample()
 		e.HWC[0][0].PIC = 1
@@ -316,17 +280,10 @@ func TestLoadRejectsBadPIC(t *testing.T) {
 
 // TestLoadRejectsUnarmedPICEvents: events recorded for a PIC whose
 // counter spec says EvNone indicate a corrupted or mismatched
-// experiment; both formats must reject it.
+// experiment, and must be rejected.
 func TestLoadRejectsUnarmedPICEvents(t *testing.T) {
 	e := sample() // counter 1 is unarmed
 	e.HWC[1] = []HWCEvent{{PIC: 1, DeliveredPC: machine.TextBase, Cycles: 7}}
-	t.Run("v1", func(t *testing.T) {
-		dir := filepath.Join(t.TempDir(), "v1.er")
-		saveV1(t, e, dir)
-		if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "armed") {
-			t.Errorf("Load of unarmed-PIC events: %v", err)
-		}
-	})
 	t.Run("v2", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "v2.er")
 		if err := e.Save(dir); err != nil {

@@ -47,9 +47,8 @@ func fuzzSample() *Experiment {
 	return e
 }
 
-// FuzzExperimentLoad replaces each data file of a valid v2 experiment —
-// and each legacy file of a valid v1 experiment — with fuzz bytes and
-// checks experiment.Load holds its documented contract: corrupt or
+// FuzzExperimentLoad replaces each data file of a valid experiment with
+// fuzz bytes and checks experiment.Load holds its documented contract: corrupt or
 // truncated input returns an error, never a panic. (Load on a valid dir
 // after mutation may also succeed if the fuzzer happens to produce a
 // well-formed file; only panics and silent PIC-range violations are
@@ -67,7 +66,7 @@ func FuzzExperimentLoad(f *testing.F) {
 			f.Add(name, b)
 		}
 	}
-	f.Add(hwcFile0, []byte{0xff, 0x13, 0x01})
+	f.Add(hwcEv2_0, []byte{0xff, 0x13, 0x01})
 	f.Add(metaFile, []byte{})
 	// Manifest seeds that stress the checksum-verification path: valid
 	// JSON shape with wrong sums, and non-JSON garbage.
@@ -76,7 +75,7 @@ func FuzzExperimentLoad(f *testing.F) {
 
 	allNames := map[string]bool{
 		metaFile: true, clockFile: true, allocsFile: true, progFile: true,
-		hwcEv2_0: true, hwcEv2_1: true, hwcFile0: true, hwcFile1: true,
+		hwcEv2_0: true, hwcEv2_1: true,
 		ProvFileName: true, ManifestName: true,
 	}
 
@@ -86,10 +85,7 @@ func FuzzExperimentLoad(f *testing.F) {
 		}
 		dir := filepath.Join(t.TempDir(), "f.er")
 		e := fuzzSample()
-		if name == hwcFile0 || name == hwcFile1 {
-			// Exercise the v1 compatibility decoder.
-			saveV1(t, e, dir)
-		} else if err := e.Save(dir); err != nil {
+		if err := e.Save(dir); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {

@@ -239,7 +239,7 @@ func RecoverFS(fsys faultfs.FS, dir string) (*RecoveryReport, error) {
 	for pic := 0; pic < NumPICs; pic++ {
 		kept, shardsKept, lost, eventsLost, loss := recoverPIC(dir, pic, e.Meta, man)
 		if loss != nil {
-			rep.addLoss(shardLossFile(e.Meta.FormatVersion, pic), loss)
+			rep.addLoss(hwcV2Name(pic), loss)
 		}
 		e.HWC[pic] = kept
 		rep.ShardsKept[pic] = shardsKept
@@ -248,17 +248,15 @@ func RecoverFS(fsys faultfs.FS, dir string) (*RecoveryReport, error) {
 		rep.EventsLost[pic] = eventsLost
 	}
 
-	if e.Meta.FormatVersion >= 2 {
-		kept, shardsKept, lost, recsLost, loss := recoverProv(dir, man)
-		if loss != nil {
-			rep.addLoss(ProvFileName, loss)
-		}
-		e.Prov = kept
-		rep.ProvShardsKept = shardsKept
-		rep.ProvShardsLost = lost
-		rep.ProvKept = len(kept)
-		rep.ProvLost = recsLost
+	kept, shardsKept, lost, recsLost, loss := recoverProv(dir, man)
+	if loss != nil {
+		rep.addLoss(ProvFileName, loss)
 	}
+	e.Prov = kept
+	rep.ProvShardsKept = shardsKept
+	rep.ProvShardsLost = lost
+	rep.ProvKept = len(kept)
+	rep.ProvLost = recsLost
 
 	if !dirty && !rep.Degraded() {
 		rep.Clean = true
@@ -276,17 +274,6 @@ func RecoverFS(fsys faultfs.FS, dir string) (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// shardLossFile names the event file a PIC's loss is attributed to.
-func shardLossFile(version, pic int) string {
-	if version == 1 {
-		if pic == 0 {
-			return hwcFile0
-		}
-		return hwcFile1
-	}
-	return hwcV2Name(pic)
-}
-
 // recoverPIC salvages one PIC's event stream: the longest prefix of
 // shards that is structurally whole, checksum-clean against the
 // manifest (when one exists), gob-decodable, and consistent with the
@@ -294,22 +281,6 @@ func shardLossFile(version, pic int) string {
 // events known lost (-1 when unknowable), and the typed loss that cut
 // the prefix (nil if nothing was cut).
 func recoverPIC(dir string, pic int, meta Meta, man *Manifest) (kept []HWCEvent, shardsKept, shardsLost, eventsLost int, loss error) {
-	if meta.FormatVersion == 1 {
-		// v1: one monolithic gob blob — it decodes whole or not at all.
-		var evs []HWCEvent
-		name := shardLossFile(1, pic)
-		if err := readGob(dir, name, &evs); err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil, 0, 0, 0, nil
-			}
-			return nil, 0, -1, -1, fmt.Errorf("%w: %v (whole v1 event blob dropped)", ErrTornShard, err)
-		}
-		if err := validateEvents(pic, evs, meta.Counters); err != nil {
-			return nil, 0, -1, -1, fmt.Errorf("%s: %v (whole v1 event blob dropped)", name, err)
-		}
-		return evs, 1, 0, 0, nil
-	}
-
 	path := filepath.Join(dir, hwcV2Name(pic))
 	shards, structLoss := scanShardPrefix(path, pic)
 

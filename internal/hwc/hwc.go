@@ -154,27 +154,10 @@ func (c *Counter) Add(n uint64) int {
 
 // Remaining returns how many further events the counter accepts before
 // its next overflow fires. The Add invariant (Total < next between
-// calls) keeps it >= 1, so interpreters can batch Remaining()-1 events
-// with no overflow and still attribute the overflow to the exact
-// triggering event on the next single-event Add.
+// calls) keeps it >= 1, so an engine can batch Remaining()-1 events with
+// no overflow and still attribute the overflow to the exact triggering
+// event on the next single-event Add.
 func (c *Counter) Remaining() uint64 { return c.next - c.Total }
-
-// Headroom converts the counter's remaining capacity into an instruction
-// budget for a batched interpreter, given the event's worst-case
-// contribution per instruction. It returns the largest n such that n
-// instructions plus one extra instruction's worth of events — headroom
-// for an instruction that issues its events but then traps instead of
-// retiring — total at most Remaining()-1, so a batch of n instructions
-// can never overflow the counter. ok is false when the counter is too
-// close to overflow to cover even one instruction; the caller must fall
-// back to exact per-instruction counting until the overflow fires.
-func (c *Counter) Headroom(perInstr uint64) (n uint64, ok bool) {
-	r := c.Remaining()
-	if r <= 2*perInstr {
-		return 0, false
-	}
-	return (r-1)/perInstr - 1, true
-}
 
 // Skid models counter-overflow interrupt skid: how many further
 // instructions retire before the trap is delivered. Per-event ranges; the

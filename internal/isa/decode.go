@@ -1,10 +1,10 @@
 package isa
 
 // Decoded is the predecoded execution form of one instruction: everything
-// the interpreter's hot loop would otherwise recompute on every visit —
-// the dispatch class, the operand-selection flag, the sign-extended (or
-// pre-shifted) immediate, static branch/call targets, and the access
-// width — is resolved once at program-load time. The machine fuses its
+// the machine's stepper and translator would otherwise recompute on every
+// visit — the dispatch class, the operand-selection flag, the
+// sign-extended (or pre-shifted) immediate, static branch/call targets,
+// and the access width — is resolved once at program-load time. The machine fuses its
 // base pipeline cost into Cost when it installs the text segment.
 //
 // The struct is 16 bytes so a decoded text segment packs four
@@ -39,7 +39,7 @@ const (
 )
 
 // Class is the dispatch class of a decoded instruction. Loads, stores,
-// and ALU sub-operations each get their own class so the interpreter
+// and ALU sub-operations each get their own class so the machine
 // dispatches with a single jump instead of a class switch plus an opcode
 // switch.
 type Class uint8

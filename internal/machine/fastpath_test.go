@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -100,27 +99,6 @@ func driveMachine(t *testing.T, cfg Config, prog func(b *asm.Builder), arm func(
 	return lg
 }
 
-// Translation heats of the batched engine's two differential arms:
-// interpOnly keeps every block entry cold, so Run and RunFor execute on
-// runInner alone; transAll translates a block on its first dispatcher
-// visit, so short test workloads reach translated code rather than
-// staying on the interpreter warm-up path.
-const (
-	interpOnly uint32 = math.MaxUint32
-	transAll   uint32 = 1
-)
-
-// withHeat wraps an arming function so the same driveMachine workload
-// runs at an explicit translation heat.
-func withHeat(heat uint32, arm func(m *Machine)) func(m *Machine) {
-	return func(m *Machine) {
-		m.SetTranslationHeat(heat)
-		if arm != nil {
-			arm(m)
-		}
-	}
-}
-
 func stepLoop(m *Machine) error {
 	for !m.Halted() {
 		if err := m.Step(); err != nil {
@@ -142,7 +120,8 @@ func runForLoop(m *Machine) error {
 // equivProg is a workload that exercises every observable path: memory
 // traffic over a range bigger than the D$ (misses, TLB misses, E$
 // events), calls and returns (callstack depth changes), branches,
-// syscalls of varying cost, and a store loop.
+// syscalls of varying cost, and a store loop whose load sits in a return's
+// delay slot and whose compare reaches its branch across a nop.
 func equivProg(b *asm.Builder) {
 	// %o0 = malloc(1<<17)
 	b.Emit(isa.Instr{Op: isa.SetHi, Rd: isa.O0, UseImm: true, Imm: (1 << 17) >> isa.SetHiShift})
@@ -157,109 +136,144 @@ func equivProg(b *asm.Builder) {
 	b.Emit(isa.Instr{Op: isa.Nop}) // delay slot
 	b.Emit(isa.Instr{Op: isa.Add, Rd: isa.L1, Rs1: isa.L1, UseImm: true, Imm: 72})
 	b.Emit(isa.Instr{Op: isa.Cmp, Rs1: isa.L1, Rs2: isa.L2})
+	b.Emit(isa.Instr{Op: isa.Nop}) // fuses across: cmp, nop, bl is one op
 	b.EmitBranch(isa.Bl, "loop")
 	b.Emit(isa.Instr{Op: isa.Nop}) // delay slot
 	b.Emit(isa.Instr{Op: isa.Syscall, UseImm: true, Imm: SysCycles})
 	b.Emit(isa.Instr{Op: isa.Syscall, UseImm: true, Imm: SysWriteLong})
 	b.Emit(isa.Instr{Op: isa.Halt})
 
-	// touch(%o0): store then load back, word-sized.
+	// touch(%o0): store then load back, word-sized. The store does not
+	// allocate in the D$, so every load is a D$ read miss.
 	b.Label("touch")
 	b.Emit(isa.Instr{Op: isa.StW, Rd: isa.O1, Rs1: isa.O0, UseImm: true, Imm: 0})
-	b.Emit(isa.Instr{Op: isa.LdW, Rd: isa.O2, Rs1: isa.O0, UseImm: true, Imm: 0})
 	b.Emit(isa.Instr{Op: isa.Jmpl, Rd: isa.G0, Rs1: isa.O7, UseImm: true, Imm: 8}) // retl
-	b.Emit(isa.Instr{Op: isa.Nop})                                                 // delay slot
+	b.Emit(isa.Instr{Op: isa.LdW, Rd: isa.O2, Rs1: isa.O0, UseImm: true, Imm: 0})  // delay slot
 }
 
-// TestFastPathEquivalence runs the same armed workloads on the batched
-// engine (Run, and RunFor in slices), interpreter-only and translating,
-// and on the reference stepper, and requires
-// every observable output — delivered events with their skid draws,
-// ticks, stats, registers, counter totals — to be identical.
+// equivDelayLoadPC is the PC of equivProg's delay-slot load.
+func equivDelayLoadPC(t *testing.T) uint64 {
+	t.Helper()
+	b := asm.NewBuilder(TextBase)
+	equivProg(b)
+	pc, ok := b.LabelAddr("touch")
+	if !ok {
+		t.Fatal("equivProg has no touch label")
+	}
+	return pc + 2*isa.InstrBytes
+}
+
+// TestFastPathEquivalence runs the same armed workloads on the engine
+// (Run, and RunFor in 7-instruction slices, which exits translated blocks
+// mid-way) and on the reference stepper, and requires every observable
+// output — delivered events with their skid draws, ticks, stats,
+// registers, counter totals — to be identical. The dense arms put an
+// overflow every few events of every counter class, so translated blocks
+// side-exit constantly.
 func TestFastPathEquivalence(t *testing.T) {
 	type armFn func(m *Machine)
 	cases := []struct {
 		name string
 		cfg  func() Config
 		arm  armFn
+		// at, when set, is a PC some overflow of the reference run must
+		// trigger on.
+		at uint64
 	}{
-		{"unarmed", DefaultConfig, nil},
-		{"instrs", DefaultConfig, func(m *Machine) {
+		{name: "unarmed", cfg: DefaultConfig},
+		{name: "instrs", cfg: DefaultConfig, arm: func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvInstrs, 997)
 		}},
-		{"cycles", DefaultConfig, func(m *Machine) {
+		{name: "cycles", cfg: DefaultConfig, arm: func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvCycles, 4999)
 		}},
-		{"cycles+instrs", DefaultConfig, func(m *Machine) {
+		{name: "cycles+instrs", cfg: DefaultConfig, arm: func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvCycles, 9001)
 			mustArm(t, m, 1, hwc.EvInstrs, 1009)
 		}},
-		{"mem", DefaultConfig, func(m *Machine) {
+		{name: "mem", cfg: DefaultConfig, arm: func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvECRef, 211)
 			mustArm(t, m, 1, hwc.EvDTLBMiss, 13)
 		}},
-		{"ecstall+dcrm", DefaultConfig, func(m *Machine) {
+		{name: "ecstall+dcrm", cfg: DefaultConfig, arm: func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvECStall, 503)
 			mustArm(t, m, 1, hwc.EvDCRdMiss, 101)
 		}},
-		// Tiny intervals keep Remaining() within a block's worst-case
-		// event bound, forcing the translated engine's block-entry budget
-		// refusals (and the re-armed batches behind them) near-constantly.
-		{"mem-tight", DefaultConfig, func(m *Machine) {
+		{name: "mem-tight", cfg: DefaultConfig, arm: func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvDCRdMiss, 3)
 			mustArm(t, m, 1, hwc.EvECRdMiss, 5)
 		}},
-		{"icm+dtlb-tight", DefaultConfig, func(m *Machine) {
+		{name: "icm+dtlb-tight", cfg: DefaultConfig, arm: func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvICMiss, 2)
 			mustArm(t, m, 1, hwc.EvDTLBMiss, 3)
 		}},
-		{"ecstall-dense", DefaultConfig, armECStallDense(t)},
-		{"clock", func() Config {
-			return DefaultConfig()
-		}, func(m *Machine) {
+		{name: "icm+ecstall-dense", cfg: DefaultConfig, arm: func(m *Machine) {
+			mustArm(t, m, 0, hwc.EvICMiss, 2)
+			mustArm(t, m, 1, hwc.EvECStall, 7)
+		}},
+		{name: "dcrm+ecref-dense", cfg: DefaultConfig, arm: func(m *Machine) {
+			mustArm(t, m, 0, hwc.EvDCRdMiss, 3)
+			mustArm(t, m, 1, hwc.EvECRef, 5)
+		}},
+		{name: "ecrm+dtlbm-dense", cfg: DefaultConfig, arm: func(m *Machine) {
+			mustArm(t, m, 0, hwc.EvECRdMiss, 3)
+			mustArm(t, m, 1, hwc.EvDTLBMiss, 2)
+		}},
+		// Every D$ read miss overflows, and the workload's only load sits
+		// in a delay slot: side exits land between a CTI and its target.
+		{name: "delay-slot", cfg: DefaultConfig, arm: func(m *Machine) {
+			mustArm(t, m, 0, hwc.EvDCRdMiss, 1)
+		}, at: equivDelayLoadPC(t)},
+		{name: "ecstall-dense", cfg: DefaultConfig, arm: armECStallDense(t)},
+		{name: "clock", cfg: DefaultConfig, arm: func(m *Machine) {
 			m.ClockTickCycles = 1013
 			mustArm(t, m, 0, hwc.EvCycles, 7001)
 		}},
-		{"budget", func() Config {
+		{name: "budget", cfg: func() Config {
 			cfg := DefaultConfig()
 			cfg.MaxInstrs = 5000
 			return cfg
-		}, func(m *Machine) {
+		}, arm: func(m *Machine) {
 			mustArm(t, m, 0, hwc.EvInstrs, 997)
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := driveMachine(t, tc.cfg(), equivProg, tc.arm, stepLoop)
-			interp := driveMachine(t, tc.cfg(), equivProg, withHeat(interpOnly, tc.arm), (*Machine).Run)
-			interpSliced := driveMachine(t, tc.cfg(), equivProg, withHeat(interpOnly, tc.arm), runForLoop)
-			trans := driveMachine(t, tc.cfg(), equivProg, withHeat(transAll, tc.arm), (*Machine).Run)
-			transSliced := driveMachine(t, tc.cfg(), equivProg, withHeat(transAll, tc.arm), runForLoop)
+			run := driveMachine(t, tc.cfg(), equivProg, tc.arm, (*Machine).Run)
+			sliced := driveMachine(t, tc.cfg(), equivProg, tc.arm, runForLoop)
 			if ref.stats.Instrs < 10000 && tc.name != "budget" {
 				t.Fatalf("workload too small to be meaningful: %d instrs", ref.stats.Instrs)
 			}
 			if len(ref.events)+len(ref.ticks) == 0 && tc.arm != nil {
 				t.Fatalf("workload produced no events")
 			}
-			if !reflect.DeepEqual(ref, interp) {
-				diffLogs(t, "Run/interp", ref, interp)
+			if tc.at != 0 && !triggersAt(ref, tc.at) {
+				t.Fatalf("no overflow triggered at %#x", tc.at)
 			}
-			if !reflect.DeepEqual(ref, interpSliced) {
-				diffLogs(t, "RunFor/interp", ref, interpSliced)
+			if !reflect.DeepEqual(ref, run) {
+				diffLogs(t, "Run", ref, run)
 			}
-			if !reflect.DeepEqual(ref, trans) {
-				diffLogs(t, "Run/translated", ref, trans)
-			}
-			if !reflect.DeepEqual(ref, transSliced) {
-				diffLogs(t, "RunFor/translated", ref, transSliced)
+			if !reflect.DeepEqual(ref, sliced) {
+				diffLogs(t, "RunFor", ref, sliced)
 			}
 		})
 	}
 }
 
-// armECStallDense arms the advisor loop's dense intervals and clock: an
-// E$-stall interval below maxInstrCost, so the translated batch never
-// gets an armed-event budget, next to E$ read misses every 31.
+// triggersAt reports whether any delivered overflow was triggered at pc.
+func triggersAt(lg runLog, pc uint64) bool {
+	for _, e := range lg.events {
+		if e.TruePC == pc {
+			return true
+		}
+	}
+	return false
+}
+
+// armECStallDense arms the advisor loop's dense intervals and clock: E$
+// stall cycles every 211, below the worst-case cost of one memory
+// instruction, next to E$ read misses every 31.
 func armECStallDense(t *testing.T) func(m *Machine) {
 	return func(m *Machine) {
 		m.ClockTickCycles = 9001
@@ -268,26 +282,21 @@ func armECStallDense(t *testing.T) func(m *Machine) {
 	}
 }
 
-// TestDenseIntervalStepShare checks that an exhausted armed-event
-// budget routes execution to the event-horizon interpreter, not the
-// reference stepper: under dense E$-stall arming only the instructions
-// that age pending overflows or deliver ticks may run on Step.
+// TestDenseIntervalStepShare checks that dense arming keeps execution
+// translated: translated blocks count exactly and side-exit on an
+// overflow, so only the skid instructions after each overflow, tick
+// deliveries, and instructions too close to a horizon may run on Step.
 func TestDenseIntervalStepShare(t *testing.T) {
-	for name, heat := range map[string]uint32{"translated": transAll, "interp": interpOnly} {
-		m := build(t, DefaultConfig(), equivProg)
-		withHeat(heat, armECStallDense(t))(m)
-		if m.maxInstrCost <= 211 {
-			t.Fatalf("maxInstrCost = %d: the E$-stall interval no longer sits below it", m.maxInstrCost)
-		}
-		if err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		instrs := m.Stats().Instrs
-		share := float64(m.stepFallbacks) / float64(instrs)
-		t.Logf("%s: %d of %d instructions stepped (%.1f%%)", name, m.stepFallbacks, instrs, 100*share)
-		if share >= 0.10 {
-			t.Errorf("%s: stepped share %.1f%%, want < 10%%", name, 100*share)
-		}
+	m := build(t, DefaultConfig(), equivProg)
+	armECStallDense(t)(m)
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	instrs := m.Stats().Instrs
+	share := float64(m.stepFallbacks) / float64(instrs)
+	t.Logf("%d of %d instructions stepped (%.1f%%)", m.stepFallbacks, instrs, 100*share)
+	if share >= 0.10 {
+		t.Errorf("stepped share %.1f%%, want < 10%%", 100*share)
 	}
 }
 
@@ -333,29 +342,66 @@ func diffLogs(t *testing.T, path string, ref, got runLog) {
 }
 
 // TestFastPathTrapEquivalence checks that traps raised mid-run surface
-// identically on both paths, with identical partial state.
+// identically on Step and the engine, with identical partial state.
 func TestFastPathTrapEquivalence(t *testing.T) {
-	divProg := func(b *asm.Builder) {
-		b.Emit(movImm(isa.O0, 100))
-		b.Emit(movImm(isa.O1, 5))
-		b.Label("loop")
-		b.Emit(isa.Instr{Op: isa.Sub, Rd: isa.O1, Rs1: isa.O1, UseImm: true, Imm: 1})
-		b.Emit(isa.Instr{Op: isa.Div, Rd: isa.O2, Rs1: isa.O0, Rs2: isa.O1}) // traps when o1 hits 0
-		b.EmitBranch(isa.Ba, "loop")
-		b.Emit(isa.Instr{Op: isa.Nop})
-		b.Emit(isa.Instr{Op: isa.Halt})
+	check := func(t *testing.T, cfg Config, prog func(b *asm.Builder), arm func(m *Machine)) {
+		t.Helper()
+		ref := driveMachine(t, cfg, prog, arm, stepLoop)
+		run := driveMachine(t, cfg, prog, arm, (*Machine).Run)
+		sliced := driveMachine(t, cfg, prog, arm, runForLoop)
+		if ref.err == "" {
+			t.Fatal("expected a trap")
+		}
+		if !reflect.DeepEqual(ref, run) {
+			diffLogs(t, "Run", ref, run)
+		}
+		if !reflect.DeepEqual(ref, sliced) {
+			diffLogs(t, "RunFor", ref, sliced)
+		}
 	}
-	arm := func(m *Machine) { mustArm(t, m, 0, hwc.EvInstrs, 3) }
-	ref := driveMachine(t, DefaultConfig(), divProg, arm, stepLoop)
-	interp := driveMachine(t, DefaultConfig(), divProg, withHeat(interpOnly, arm), (*Machine).Run)
-	trans := driveMachine(t, DefaultConfig(), divProg, withHeat(transAll, arm), (*Machine).Run)
-	if ref.err == "" {
-		t.Fatal("expected a div-zero trap")
-	}
-	if !reflect.DeepEqual(ref, interp) {
-		diffLogs(t, "Run/interp", ref, interp)
-	}
-	if !reflect.DeepEqual(ref, trans) {
-		diffLogs(t, "Run/translated", ref, trans)
-	}
+	t.Run("divzero", func(t *testing.T) {
+		divProg := func(b *asm.Builder) {
+			b.Emit(movImm(isa.O0, 100))
+			b.Emit(movImm(isa.O1, 5))
+			b.Label("loop")
+			b.Emit(isa.Instr{Op: isa.Sub, Rd: isa.O1, Rs1: isa.O1, UseImm: true, Imm: 1})
+			b.Emit(isa.Instr{Op: isa.Div, Rd: isa.O2, Rs1: isa.O0, Rs2: isa.O1}) // traps when o1 hits 0
+			b.EmitBranch(isa.Ba, "loop")
+			b.Emit(isa.Instr{Op: isa.Nop})
+			b.Emit(isa.Instr{Op: isa.Halt})
+		}
+		check(t, DefaultConfig(), divProg, func(m *Machine) { mustArm(t, m, 0, hwc.EvInstrs, 3) })
+	})
+	// The trapping load opens a new I$ line, and its own fetch miss is the
+	// one that overflows the icm counter, with a skid of one instruction.
+	// Step probes, counts, then traps: the overflow is never delivered. A
+	// translated block must bail before probing, or the re-executing Step
+	// would age and deliver that overflow at the trapping PC.
+	t.Run("icm-on-trap", func(t *testing.T) {
+		const lineInstrs = 8 // DefaultConfig's 32-byte I$ lines
+		trapProg := func(b *asm.Builder) {
+			b.Emit(movImm(isa.L0, 1)) // misaligned word address
+			for b.Len() < 2*lineInstrs {
+				b.Emit(isa.Instr{Op: isa.Nop})
+			}
+			b.Emit(isa.Instr{Op: isa.LdW, Rd: isa.O0, Rs1: isa.L0, UseImm: true, Imm: 0})
+			b.Emit(isa.Instr{Op: isa.Halt})
+		}
+		cfg := DefaultConfig()
+		for hwc.NewSkid(cfg.SkidSeed).Instrs(hwc.EvICMiss) != 1 {
+			cfg.SkidSeed++
+		}
+		arm := func(m *Machine) { mustArm(t, m, 0, hwc.EvICMiss, 3) } // the third line's miss
+		ref := build(t, cfg, trapProg)
+		arm(ref)
+		if err := stepLoop(ref); err == nil || len(ref.pending) != 1 || ref.pending[0].remaining != 1 {
+			t.Fatalf("premise: Step run ended with %v, pending %+v; want a trap with one overflow at skid 1", err, ref.pending)
+		}
+		eng := build(t, cfg, trapProg)
+		arm(eng)
+		if err := eng.Run(); err == nil || eng.stepFallbacks != 1 {
+			t.Fatalf("premise: engine run ended with %v after %d stepped; want the trapping load alone stepped", err, eng.stepFallbacks)
+		}
+		check(t, cfg, trapProg, arm)
+	})
 }

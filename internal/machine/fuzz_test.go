@@ -121,7 +121,7 @@ func genFuzzProgram(data []byte) func(b *asm.Builder) {
 // genFuzzArm derives an arming configuration from the first bytes of the
 // input: zero to two counters with small intervals, and sometimes the
 // profiling clock, so the fuzzer crosses event-horizon recomputation,
-// overflow delivery, and translated-block budget bailouts.
+// overflow delivery, and translated side exits and prefix fits.
 func genFuzzArm(t *testing.T, data []byte) func(m *Machine) {
 	pick := func(i int) byte {
 		if i < len(data) {
@@ -148,22 +148,19 @@ func genFuzzArm(t *testing.T, data []byte) func(m *Machine) {
 }
 
 // FuzzBackendDifferential feeds random small programs under randomized
-// arming to the reference stepper and to the batched engine twice:
-// interpreter-only (translation heat math.MaxUint32, so every block
-// stays cold) and translating (heat 1, so every block translates). It
-// requires every observable output — final registers, PC, statistics,
-// counter totals, delivered overflow events with their skid draws,
-// clock ticks, and trap errors — to be identical across all of them,
-// for both Run and sliced RunFor driving.
+// arming to the reference stepper and to the engine, driven by Run and
+// by RunFor in 7-instruction slices (which exits translated blocks
+// mid-way). It requires every observable output — final registers, PC,
+// statistics, counter totals, delivered overflow events with their skid
+// draws, clock ticks, and trap errors — to be identical across all three.
 func FuzzBackendDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 16, 3, 9, 12, 11, 200, 3, 0, 16, 250})
 	f.Add([]byte{40, 7, 36, 129, 9, 16, 14, 66, 16, 1, 17, 5, 18, 0})
 	f.Add([]byte{203, 31, 16, 0, 14, 99, 16, 90, 11, 48, 9, 16, 3, 3})
 	// Armed-memory corpus: the first four bytes select memory-event PICs
-	// (D$/E$/TLB/I$ read misses and stalls) at the smallest intervals, so
-	// the translated engine runs against block-entry budget refusals from
-	// the first block, over bodies dense with loads, stores, and calls.
+	// (D$/E$/TLB/I$ read misses and stalls) at the smallest intervals,
+	// over bodies dense with loads, stores, and calls.
 	f.Add([]byte{3, 5, 0, 0, 14, 0, 15, 8, 14, 16, 17, 0, 14, 32, 15, 40, 16, 1})
 	f.Add([]byte{8, 7, 0, 1, 16, 3, 14, 0, 9, 12, 17, 0, 14, 8, 3, 200, 16, 90})
 	f.Add([]byte{4, 6, 1, 0, 14, 0, 14, 64, 15, 128, 14, 8, 16, 250, 11, 48, 15, 0})
@@ -175,11 +172,33 @@ func FuzzBackendDifferential(f *testing.F) {
 	// Mixed-width same-offset stores and loads (the union aliasing shape):
 	// StW@128/LdW@129 and StX@0/LdX@1 also cross the misalignment path.
 	f.Add([]byte{3, 5, 11, 16, 9, 16, 12, 32, 10, 32, 11, 48, 9, 48, 12, 0, 10, 0, 16, 4})
-	// Dense E$-stall corpus: the advisor loop's E$ stall at 211 (below
-	// maxInstrCost) and E$ read misses at 31, clock on, so the translated
-	// batch never gets a budget and runs the exact inline-counting
-	// interpreter instead.
+	// Dense E$-stall corpus: the advisor loop's E$ stall at 211 (below one
+	// memory instruction's worst-case cost) and E$ read misses at 31,
+	// clock on.
 	f.Add([]byte{6, 5, 208, 28, 9, 17, 11, 200, 9, 33, 17, 0, 10, 129, 12, 72, 14, 3, 16, 4})
+	// Dense corpus, one seed per counter-class pair at the smallest
+	// intervals: icm 3 + ecstall 7; dcrm 3 + ecref 5 with the clock;
+	// ecrm 3 + dtlbm 3.
+	f.Add([]byte{8, 6, 0, 4, 9, 17, 17, 0, 11, 48, 14, 3, 16, 2, 10, 129, 17, 0, 12, 72, 16, 0})
+	f.Add([]byte{3, 4, 0, 2, 9, 17, 11, 200, 9, 33, 17, 0, 10, 129, 12, 72, 14, 3, 16, 4})
+	f.Add([]byte{5, 7, 0, 0, 9, 40, 11, 41, 9, 200, 13, 7, 17, 0, 15, 8, 16, 1})
+	// Delay-slot corpus: icm 3 + ecref 3 over calls (the subroutine returns
+	// with a store in its delay slot) and branches, so overflows land
+	// between a CTI and its target.
+	f.Add([]byte{8, 4, 0, 0, 17, 0, 16, 3, 17, 0, 16, 5, 17, 0, 12, 8, 16, 1})
+	// Fused-compare corpus: a loop of add, compare, nop, branch. The
+	// compare reaches its branch across the nop as one fused op, and
+	// 7-instruction slices end between the two.
+	f.Add([]byte{0, 0, 14, 0, 19, 0, 16, 0})
+	// Trap corpus: icm 3 over straight-line nops ending in a misaligned
+	// load that opens the sixth I$ line. Its own fetch miss is the
+	// counter's second overflow, whose skid draw is 1 under the default
+	// skid seed: Step traps with that overflow pending, undelivered.
+	trap := []byte{8, 0, 0, 0}
+	for len(trap) < 72 {
+		trap = append(trap, 19, 0) // nop
+	}
+	f.Add(append(trap, 9, 16))
 	seed := make([]byte, 120)
 	for i := range seed {
 		seed[i] = byte(i*37 + 11)
@@ -194,17 +213,13 @@ func FuzzBackendDifferential(f *testing.F) {
 		cfg := DefaultConfig()
 		cfg.MaxInstrs = 30000 // cut runaway branch loops, identically everywhere
 		ref := driveMachine(t, cfg, prog, arm, stepLoop)
-		interp := driveMachine(t, cfg, prog, withHeat(interpOnly, arm), (*Machine).Run)
-		trans := driveMachine(t, cfg, prog, withHeat(transAll, arm), (*Machine).Run)
-		transSliced := driveMachine(t, cfg, prog, withHeat(transAll, arm), runForLoop)
-		if !reflect.DeepEqual(ref, interp) {
-			diffLogs(t, "Run/interp", ref, interp)
+		run := driveMachine(t, cfg, prog, arm, (*Machine).Run)
+		sliced := driveMachine(t, cfg, prog, arm, runForLoop)
+		if !reflect.DeepEqual(ref, run) {
+			diffLogs(t, "Run", ref, run)
 		}
-		if !reflect.DeepEqual(ref, trans) {
-			diffLogs(t, "Run/translated", ref, trans)
-		}
-		if !reflect.DeepEqual(ref, transSliced) {
-			diffLogs(t, "RunFor/translated", ref, transSliced)
+		if !reflect.DeepEqual(ref, sliced) {
+			diffLogs(t, "RunFor", ref, sliced)
 		}
 	})
 }

@@ -100,8 +100,8 @@ type Machine struct {
 	lastFetchLine uint64
 
 	// dec is the predecoded text segment, one entry per instruction, with
-	// the base pipeline cost fused in. The interpreter executes only from
-	// this array; the raw text is not retained.
+	// the base pipeline cost fused in. Step and the translator execute
+	// only from this array; the raw text is not retained.
 	dec      []isa.Decoded
 	textSize uint64 // textEnd - TextBase, for the one-compare fetch bound
 	textEnd  uint64
@@ -112,32 +112,19 @@ type Machine struct {
 	// a shift instead of a divide.
 	icLineShift uint
 
-	// maxInstrCost bounds the cycle cost of any single non-syscall
-	// instruction (worst-case fetch miss + TLB miss + memory stalls). The
-	// event-horizon computation backs a cycle-armed counter's bound off by
-	// this much so the fast inner loop can never overflow it mid-batch.
-	maxInstrCost uint64
 	// armed[ev] is a bitmask of PIC registers (bit 0 = PIC0, bit 1 = PIC1)
 	// currently counting ev. The hot-path count() is a load and branch on
 	// it; events nobody is counting cost nothing.
 	armed [hwc.NumEvents]uint8
-	// evBatch, while a budgeted translated batch runs, routes armed-event
-	// counts into evDelta instead of the live counters; evFlush feeds the
-	// deltas to the counters at the batch boundary. The batch budget
-	// guarantees no delta can reach an overflow threshold, so the deferred
-	// Adds never fire and exact trigger attribution is never needed.
-	evBatch bool
-	evDelta [hwc.NumEvents]uint64
 	// stepFallbacks counts the instructions runBatch retired through its
-	// reference-Step fallbacks, so tests can bound the stepped share.
+	// reference-Step fallbacks. Every other instruction Run retires is
+	// translated, so stepFallbacks/Instrs is the untranslated share.
 	stepFallbacks uint64
 
 	// trans is the translation cache, built lazily and dropped whole on
 	// LoadProgram (its threaded-code blocks hold register pointers and
-	// successor links valid only for this program's decode). transHeat
-	// overrides the translation threshold for tests.
-	trans     *transState
-	transHeat uint32
+	// successor links valid only for this program's decode).
+	trans *transState
 
 	heap *allocator
 
@@ -206,11 +193,6 @@ func New(cfg Config) (*Machine, error) {
 		skid:          hwc.NewSkid(cfg.SkidSeed),
 		stackLow:      StackTop - cfg.StackBytes,
 	}
-	// Worst-case cost of one non-syscall instruction: deliberately a loose
-	// upper bound (an access cannot take every stall at once); the horizon
-	// only batches a hair less per overflow interval.
-	m.maxInstrCost = maxBaseCost + uint64(cfg.ICMissStall) + tlb.MissPenaltyCycles +
-		uint64(cfg.Costs.EHitStall+cfg.Costs.MemStall+cfg.Costs.StoreMissStall+cfg.Costs.WritebackStall)
 	m.heap = newAllocator(HeapBase, HeapBase+cfg.HeapBytes)
 	return m, nil
 }
@@ -296,10 +278,9 @@ func (m *Machine) ArmCounter(pic int, ev hwc.Event, interval uint64) error {
 }
 
 // rebuildArmed recomputes the per-event armed-PIC bitmasks from the
-// counter registers. Any event combination runs on every engine path: the
-// translated engine counts memory, I$, and TLB events inline under the
-// armed-event budget (see the horizon in runBatch and the eligibility
-// invariant in translate.go).
+// counter registers. Any event combination runs on both engines:
+// translated code counts memory, I$, and TLB events exactly where Step
+// does (see runBatch's horizons and the invariants in translate.go).
 func (m *Machine) rebuildArmed() {
 	m.armed = [hwc.NumEvents]uint8{}
 	for pic, c := range m.counters {

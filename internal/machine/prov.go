@@ -33,9 +33,8 @@ type ProvRecord struct {
 }
 
 // recordProv opens a provenance record for a fresh allocation. Called
-// from the malloc/calloc syscall handlers, where m.PC and m.stats.Cycles
-// are flushed on both interpreter paths, so the stamps are identical
-// under the fast path and the reference stepper.
+// from the malloc/calloc syscall handlers, which only Step executes, so
+// the stamps are identical under Run and the reference stepper.
 func (m *Machine) recordProv(addr, size uint64, seq int) {
 	if m.OnProv == nil {
 		return

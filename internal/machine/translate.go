@@ -9,7 +9,7 @@ import (
 	"dsprof/internal/tlb"
 )
 
-// This file is the engine's binary translator: hot superblocks of
+// This file is the engine's binary translator: superblocks of
 // predecoded instructions compile into threaded code — flat arrays of
 // pre-resolved operations whose register operands are pointers into the
 // register file and whose immediates, branch targets, and fetch lines are
@@ -17,102 +17,64 @@ import (
 // cycle/instruction accounting and a single EvInstrs/EvCycles flush at
 // the end of each translated stretch.
 //
-// Safety rests on three invariants, checked before any translated code
-// runs (see DESIGN.md §11):
+// Safety rests on three invariants (see DESIGN.md §11):
 //
-//  1. Eligibility. Every counter event is covered at the batch boundary:
-//     EvInstrs/EvCycles by the stretch flush, and armed memory, I$, and
-//     TLB events by inline count() calls on the probe and miss paths
-//     (routed into the machine's per-batch event deltas). The armed-event
-//     budget in runBatch shrinks the horizon so no armed counter can
-//     overflow anywhere inside the batch, which is what lets a deferred
-//     delta stand in for exact per-event Adds: an Add that cannot
-//     overflow needs no trigger attribution and draws no skid. When a
-//     counter is too close to overflow for any budget — an E$-stall
-//     counter within the worst-case instruction cost (384 cycles on the
-//     study machine: 40 divide + 12 I$ miss + 100 TLB miss + 14 E$ hit
-//     + 180 memory + 30 store miss + 8 writeback), or Headroom refusing
-//     an I$ or per-access counter — no translated code runs: the batch
-//     goes to runInner, which counts every armed event inline at its
-//     exact instruction and stops on the first overflow. At the advisor
-//     loop's dense intervals (ecstall 211) that is every batch.
-//  2. Horizon. A block is entered only when the remaining horizon covers
-//     its worst-case footprint — instructions (ninstr), cycles (wc), and
-//     memory accesses (nmem) — so the boundary flush can never overflow
-//     a counter mid-stretch and no clock tick is due inside a block. The
-//     armed-event budget binds each event class at its tightest sound
-//     bound: I$ misses at one per instruction (maxN), the per-access
-//     events — D$/E$ misses, E$ references, DTLB misses — at one per
-//     memory access (maxMem), and E$ stall cycles by the cycle horizon
-//     itself (stall cycles are a subset of elapsed cycles).
+//  1. Exact counting. Armed memory, I$, and TLB events count at their
+//     instruction through the same count() calls as the reference path,
+//     on the probe and miss paths, with the op's PC and effective address
+//     as trigger. An op whose count made an overflow pending is the last
+//     of its stretch: the block side-exits right after its instruction,
+//     and Step ages the skid from there.
+//  2. Horizon. A block runs whole only when the remaining horizon covers
+//     its worst-case footprint — instructions (ninstr) and cycles (wc) —
+//     so the stretch flush can never overflow an armed instruction or
+//     cycle counter and no clock tick falls due inside a block. Otherwise
+//     the block runs its longest prefix that fits (fit); what does not
+//     fit is left to Step.
 //  3. Trap-free bodies. Any instruction that could trap (divide by zero,
-//     misalignment, segmentation) evaluates its trap predicate first and
-//     bails out *before* architectural effects; the interpreter then
-//     re-executes it and raises the exact trap of the reference path.
-//     Blocks themselves never trap, never deliver events, never syscall.
+//     misalignment, segmentation) evaluates its trap predicate before its
+//     fetch probe and any architectural effect, and bails out; Step then
+//     re-executes it, probing, counting and trapping exactly as the
+//     reference path does. Blocks never trap, deliver events, or syscall.
 //
-// The produced execution is byte-identical to the reference stepper.
-// TestFastPathEquivalence and FuzzBackendDifferential hold Step, the
-// batched engine with translation held off (runInner alone) and the
-// batched engine translating every block to the same machine state and
-// event streams; TestFastPathGolden holds Step and the default engine to
-// the same experiment bytes.
+// Every exit — block end, side exit, prefix, bail — leaves PC/NPC after
+// the last retired instruction, so every instruction of a run is either
+// translated or stepped. The produced execution is byte-identical to the
+// reference stepper: TestFastPathEquivalence and FuzzBackendDifferential
+// hold Step and the engine (Run, and RunFor in 7-instruction slices) to
+// the same machine state and event streams; TestFastPathGolden holds them
+// to the same experiment bytes.
 
 const (
-	// transHeatDefault is how many dispatcher visits a cold block entry
-	// needs before it is translated. Entries reached *from* a translated
-	// predecessor skip the gate: successor chaining wants the whole hot
-	// region compiled as soon as one seed block proves hot.
-	transHeatDefault = 4
 	// transMaxBlockInstrs caps a block so its worst-case cycle footprint
-	// stays small against armed-cycle-counter horizons.
+	// stays small against the cycle horizons.
 	transMaxBlockInstrs = 64
-	// transColdChunk bounds one interpreter chunk while translation is
-	// still cold, so block-entry heat accumulates at chunk granularity.
-	transColdChunk = 4096
-	// transWarmChunk bounds the interpreter chunk right after a translated
-	// stretch: its only job is to carry execution across an untranslatable
-	// instruction (a syscall, a trap retry) and return to translated code.
-	transWarmChunk = 64
 )
 
 // tstate is the live state of one translated stretch. cycles accumulates
-// only *dynamic* cost (fetch, TLB, and cache stalls); each block's static
-// base-cost sum is added when the block completes, or the bailing
-// instruction's static prefix on a bail, so a partial block charges
-// exactly the cycles the reference interpreter would have.
+// only *dynamic* cost (fetch, TLB, and cache stalls) as ops run; the
+// static base costs of the instructions a block retired are added after
+// it runs, so a partial block costs exactly the cycles Step would have
+// charged.
 type tstate struct {
 	cycles    uint64
 	n         uint64
-	mem       uint64 // memory accesses retired (charged per block, see exec)
 	loads     uint64 // retired loads, batched into m.stats at stretch end
 	stores    uint64 // retired stores, likewise
 	fetchLine uint64
 	// target is the CTI successor for the in-flight block: the taken
-	// target, or the fall-through PC of a not-taken branch. The delay
-	// slot's bail NPC and the block's successor both read it.
-	target  uint64
-	bailPC  uint64
-	bailNPC uint64
-	bailed  bool
+	// target, or the fall-through PC of a not-taken branch. The block's
+	// successor, and the NPC of an exit in its delay slot, read it.
+	target uint64
 }
 
-// fail records a bail-out before instruction pc executed: the translated
-// stretch ends, and the interpreter re-executes pc with NPC restored to
-// the value the reference path would hold (sequential, or the in-flight
-// CTI target when pc is a delay slot). prefix is the static base-cost sum
-// of the block's instructions before pc.
-func (st *tstate) fail(pc uint64, delay bool, prefix uint64) bool {
-	st.bailed = true
-	st.bailPC = pc
-	if delay {
-		st.bailNPC = st.target
-	} else {
-		st.bailNPC = pc + isa.InstrBytes
-	}
-	st.cycles += prefix
-	return false
-}
+// Outcomes of a trap-capable op (tMem, tDivRem) and of a miss path. An
+// op's miss paths combine theirs with |, so opDone must stay zero.
+const (
+	opDone uint8 = iota // retired
+	opExit              // retired, and a count it made left an overflow pending
+	opBail              // its trap predicate holds: not executed, Step re-executes it
+)
 
 // Threaded-op kinds. ALU operations get separate register/immediate
 // variants so their dispatch cases are branch-free; rarer trap-capable
@@ -194,25 +156,22 @@ const (
 	opJmplRet    uint8 = 1 << 0
 	opProbeShift       = 4 // 2 bits: probeNone/probeFirst/probeAlways
 	opProbeMask  uint8 = 3 << opProbeShift
-	opDelay      uint8 = 1 << 6
 	opRegOff     uint8 = 1 << 7 // second operand is *rs2, not imm
 )
 
 // Per-site cache bit layout. A memory op's aux field packs its align
-// mask with the D$ and E$ way its address last hit; its prefix field
-// packs the static cycle prefix with the DTLB entry its page last used.
-// All are verified performance hints (see tinstr).
+// mask with the D$ and E$ way its address last hit; its way field holds
+// the DTLB entry its page last used. All are verified performance hints
+// (see tinstr).
 const (
-	siteAlignMask  uint64 = 0xff
-	siteEWayShift         = 8
-	siteEWayMask   uint64 = 0xffffff << siteEWayShift
-	siteDWayShift         = 32
-	siteDWayMask   uint64 = 0xffffffff << siteDWayShift
-	siteTLBShift          = 32
-	sitePrefixMask uint64 = 1<<siteTLBShift - 1
+	siteAlignMask uint64 = 0xff
+	siteEWayShift        = 8
+	siteEWayMask  uint64 = 0xffffff << siteEWayShift
+	siteDWayShift        = 32
+	siteDWayMask  uint64 = 0xffffffff << siteDWayShift
 )
 
-// Instruction-fetch probe modes. Probes replicate runInner's fetch-line
+// Instruction-fetch probe modes. Probes replicate exec1's fetch-line
 // check: the I$ is probed only when execution leaves the current fetch
 // line. Within a block every crossing is static except the entry.
 const (
@@ -237,18 +196,29 @@ type tinstr struct {
 	imm  int64  // immediate operand / branch or call target / probe way cache
 	aux  uint64 // branch fall-through PC; probe fetch line; mem align mask (low byte) + way cache (high bits)
 	pc   uint64
-	// prefix is the block's static base-cost sum before this instruction,
-	// charged on a bail so a partial block costs exactly what the
-	// reference interpreter charged. Only trap-capable ops (tMem,
-	// tDivRem) can bail; for never-bailing ops that carry a folded fetch
-	// probe, the field is reused as the probe's I$ way cache.
-	prefix uint64
+	// way is a memory op's DTLB entry cache, or the I$ way cache of the
+	// fetch probe a never-bailing op carries folded in.
+	way uint64
+}
+
+// fused reports whether t is a fused compare-and-branch. It covers the
+// compare, any nops between (which emit no op), and the branch.
+func (t *tinstr) fused() bool { return t.kind >= tFBeRR && t.kind <= tFBleuRI }
+
+// instrPC returns the PC of the last instruction op t executes: the
+// branch of a fused compare-and-branch, whose pc field carries the PC
+// after the delay slot.
+func (t *tinstr) instrPC() uint64 {
+	if t.fused() {
+		return t.pc - 2*isa.InstrBytes
+	}
+	return t.pc
 }
 
 // Block terminator kinds.
 const (
-	// tEndGoto: control continues at a statically known PC (a capped
-	// block, or one ended before an untranslatable instruction).
+	// tEndGoto: control falls through to the instruction after the block
+	// (a capped block, or one ended before an untranslatable instruction).
 	tEndGoto uint8 = iota
 	// tEndCTI: the block ends with a CTI plus its delay slot; the
 	// successor PC is in st.target.
@@ -262,13 +232,11 @@ type tblock struct {
 	entry  uint64
 	code   []tinstr
 	ninstr uint64
-	nmem   uint64 // memory-access instructions (loads, stores, prefetches)
 	nload  uint64 // load instructions, for the batched Loads statistic
 	nstore uint64 // store instructions, for the batched Stores statistic
 	static uint64 // sum of base pipeline costs
 	wc     uint64 // worst-case cycle footprint (static + max stalls)
 	kind   uint8
-	next   uint64 // tEndGoto successor
 	// s0/s1 cache the first two translated successors, so the dispatcher
 	// follows hot block-to-block edges (a goto, a branch's taken and
 	// fall-through arms) by pointer instead of re-resolving the PC
@@ -291,7 +259,6 @@ var noTransBlock = &tblock{}
 // so self-modifying stores alter no execution path — see DESIGN.md §11.)
 type transState struct {
 	blocks []*tblock
-	heat   []uint32
 	st     tstate
 	// sink absorbs writes whose architectural destination is G0 (reads
 	// still see zero through Regs[0], which no translated op writes).
@@ -300,108 +267,29 @@ type transState struct {
 
 func (m *Machine) ensureTrans() *transState {
 	if m.trans == nil {
-		n := len(m.dec)
-		m.trans = &transState{blocks: make([]*tblock, n), heat: make([]uint32, n)}
+		m.trans = &transState{blocks: make([]*tblock, len(m.dec))}
 	}
 	return m.trans
 }
 
-// SetTranslationHeat overrides the dispatcher-visit threshold at which a
-// block entry is translated (0 restores the default). Tests lower it to
-// force translation on short programs; it tunes warmup only, never
-// which execution is produced. math.MaxUint32 keeps every entry cold:
-// a block would need 2^32-1 dispatcher visits, far beyond any test or
-// benchmark run, so execution stays on runInner alone.
-func (m *Machine) SetTranslationHeat(n uint32) { m.transHeat = n }
-
-func (m *Machine) heatThreshold() uint32 {
-	if m.transHeat != 0 {
-		return m.transHeat
-	}
-	return transHeatDefault
-}
-
-// runMixed fills one event horizon with translated stretches interleaved
-// with bounded interpreter chunks. Bounds and fallback semantics are
-// exactly runBatch's: maxN caps retired instructions, maxMem caps
-// retired memory accesses (the budget unit of the armed per-access
-// events), stop caps m.stats.Cycles, and anything the translator
-// declines — cold code, syscalls, trap retries, delay-slot entry states
-// — runs on runInner. Interpreter chunks charge the memory budget one
-// access per instruction — the interpreter does not pre-count its
-// instruction mix, and an instruction performs at most one access — so
-// the cap holds across both engines.
-//
-// A stretch that made progress and then hit a budget refusal ends the
-// batch instead of draining the budget tail interpreted: the caller
-// re-arms the horizons from the counters' actual event counts, which
-// sheds both the worst-case cycle pessimism of the refused block and
-// the one-access-per-instruction pessimism of interpreter charging, and
-// the next batch resumes translated at full speed. The interpreter runs
-// only when the translator made no progress at all (an obstacle or a
-// genuinely exhausted horizon), where it is the sole way forward.
-func (m *Machine) runMixed(maxN, maxMem, stop uint64, breakOnSyscall bool) (uint64, error) {
-	var total, mem uint64
-	for total < maxN && mem < maxMem && !m.halted && len(m.pending) == 0 {
-		k, km, refused := m.runTranslated(maxN-total, maxMem-mem, stop)
-		total += k
-		mem += km
-		// Translated stretches cannot halt, syscall, or append pending
-		// events, so only the budgets and the interpreter below decide
-		// the loop.
-		if refused && k > 0 {
-			break // batch ends here; the caller re-arms tighter horizons
-		}
-		chunk := uint64(transColdChunk)
-		if k > 0 {
-			chunk = transWarmChunk
-		}
-		if rem := maxN - total; chunk > rem {
-			chunk = rem
-		}
-		if rem := maxMem - mem; chunk > rem {
-			chunk = rem
-		}
-		n, err := m.runInner(chunk, stop, breakOnSyscall)
-		total += n
-		mem += n
-		if err != nil {
-			return total, err
-		}
-		if n == 0 {
-			// Immediate give-way with total == 0 (syscall under a
-			// cycle-counter horizon) is handled by the caller, which must
-			// flush the batch's event deltas before stepping the reference
-			// path.
-			break
-		}
-		if m.halted || len(m.pending) > 0 {
-			break
-		}
-	}
-	return total, nil
-}
-
-// runTranslated executes translated superblocks from the current PC until
-// the horizon cannot cover the next block's worst-case footprint, control
-// reaches untranslated (or untranslatable) code, or a block bails out for
-// a trap retry. It returns how many instructions retired, the memory
-// accesses charged against the per-access event budget, and whether the
-// stretch ended on a budget refusal (so the caller can re-arm rather
-// than interpret), and leaves PC/NPC, stats, and the fetch line exactly
-// as runInner would after the same instructions.
-func (m *Machine) runTranslated(maxN, maxMem, stop uint64) (uint64, uint64, bool) {
-	if m.NPC != m.PC+isa.InstrBytes {
-		// Mid-delay-slot entry state: only the interpreter tracks a split
-		// PC/NPC pair.
-		return 0, 0, false
+// runTranslated executes translated superblocks from the current PC
+// within the horizon: at most maxN instructions, and m.stats.Cycles at
+// most stop. A block is translated on its first dispatch. The stretch
+// ends when the next block does not fit whole (after running the prefix
+// that does), control reaches untranslatable code, a count leaves an
+// overflow pending (a side exit), or an op bails for a trap retry. It
+// returns how many instructions retired and leaves PC/NPC, stats, and the
+// fetch line exactly as Step would after the same instructions.
+func (m *Machine) runTranslated(maxN, stop uint64) uint64 {
+	pc, npc := m.PC, m.NPC
+	if npc != pc+isa.InstrBytes {
+		// Mid-delay-slot entry state: only Step tracks a split PC/NPC pair.
+		return 0
 	}
 	t := m.ensureTrans()
 	st := &t.st
 	*st = tstate{fetchLine: m.lastFetchLine}
-	pc := m.PC
 	baseCycles := m.stats.Cycles
-	refused := false
 	var prev *tblock
 	for {
 		var blk *tblock
@@ -417,20 +305,11 @@ func (m *Machine) runTranslated(maxN, maxMem, stop uint64) (uint64, uint64, bool
 		if blk == nil {
 			off := pc - TextBase
 			if off >= m.textSize || off%isa.InstrBytes != 0 {
-				break // the interpreter raises the bad-PC trap
+				break // Step raises the bad-PC trap
 			}
 			idx := int(off / isa.InstrBytes)
 			blk = t.blocks[idx]
 			if blk == nil {
-				if prev == nil {
-					// Heat gate: cold entries wait for threshold dispatcher
-					// visits. Successors of a translated block compile
-					// immediately — one hot seed pulls in its whole region.
-					t.heat[idx]++
-					if t.heat[idx] < m.heatThreshold() {
-						break
-					}
-				}
 				blk = m.translateBlock(idx)
 				t.blocks[idx] = blk
 			}
@@ -445,75 +324,145 @@ func (m *Machine) runTranslated(maxN, maxMem, stop uint64) (uint64, uint64, bool
 				}
 			}
 		}
-		if st.n+blk.ninstr > maxN || st.mem+blk.nmem > maxMem ||
-			baseCycles+st.cycles+blk.wc > stop {
-			refused = true
-			break // worst-case footprint does not fit the horizon
+		code, k := blk.code, blk.ninstr
+		if st.n+k > maxN || baseCycles+st.cycles+blk.wc > stop {
+			// The worst case overruns a horizon: run the prefix that fits.
+			var j int
+			if j, k = m.fit(blk, maxN-st.n, stop-baseCycles-st.cycles); k == 0 {
+				break
+			}
+			code = code[:j]
 		}
-		ok := blk.exec(m, st)
-		// Charge the block's full access count even on a bail: the executed
-		// prefix performed at most nmem accesses, and the budget only needs
-		// an upper bound.
-		st.mem += blk.nmem
-		if !ok {
-			break // bailed: st.bailPC/bailNPC hold the resume point
+		ek, early := blk.exec(m, st, code)
+		if early {
+			k = ek
 		}
-		if blk.kind == tEndCTI {
-			pc = st.target
+		if k == blk.ninstr {
+			st.n += k
+			st.cycles += blk.static
+			st.loads += blk.nload
+			st.stores += blk.nstore
 		} else {
-			pc = blk.next
+			blk.retire(m, st, k)
+		}
+		pc, npc = blk.resume(st, k)
+		if early || k < blk.ninstr {
+			break
 		}
 		prev = blk
 	}
-	if st.bailed {
-		m.PC, m.NPC = st.bailPC, st.bailNPC
-	} else {
-		m.PC, m.NPC = pc, pc+isa.InstrBytes
-	}
+	m.PC, m.NPC = pc, npc
 	m.lastFetchLine = st.fetchLine
 	m.stats.Cycles = baseCycles + st.cycles
 	m.stats.Instrs += st.n
 	m.stats.Loads += st.loads
 	m.stats.Stores += st.stores
 	if st.n > 0 {
-		// One flush per stretch, like runInner's boundary flush. The
-		// horizon guarantees neither counter can overflow mid-stretch, so
-		// no skid draw reorders and the trigger PC is never observed.
+		// One flush per stretch. The horizon keeps both counters short of
+		// overflow, so no skid draw reorders and the trigger PC is never
+		// observed.
 		m.count(hwc.EvInstrs, st.n, m.PC, 0, false)
 		m.count(hwc.EvCycles, st.cycles, m.PC, 0, false)
 	}
-	return st.n, st.mem, refused
+	return st.n
 }
 
-// exec is the threaded-code dispatch loop: one switch per pre-resolved
-// op, no per-instruction horizon, pending, or bounds checks (the caller
-// proved the whole block fits), no per-instruction cycle accounting for
-// ALU ops (base costs are in the static sum). On a bail the completed
-// instruction count recovers from the bail PC (ops are emitted in PC
-// order); on completion the static sum is charged in one add.
-func (b *tblock) exec(m *Machine, st *tstate) bool {
-	code := b.code
+// fit returns the longest prefix of b whose worst case fits within nmax
+// instructions and cmax cycles: its first j ops, covering k instructions.
+// A fused compare-and-branch op is never split. Prefixes run only at a
+// horizon, so the per-instruction rescan stays off the hot path.
+func (m *Machine) fit(b *tblock, nmax, cmax uint64) (j int, k uint64) {
+	idx := (b.entry - TextBase) / isa.InstrBytes
+	for wc := uint64(0); k < min(nmax, b.ninstr); k++ {
+		// The entry probes against the live fetch line; later
+		// instructions probe exactly at a line crossing.
+		pc := b.entry + k*isa.InstrBytes
+		probe := k == 0 || pc>>m.icLineShift != (pc-isa.InstrBytes)>>m.icLineShift
+		if wc += m.worstCost(&m.dec[idx+k], probe); wc > cmax {
+			break
+		}
+	}
+	// Map k to ops. A fused compare-and-branch is never split: a prefix
+	// ending inside one stops before its compare.
+	for ; j < len(b.code); j++ {
+		t := &b.code[j]
+		last := (t.instrPC() - b.entry) / isa.InstrBytes
+		if last < k {
+			continue
+		}
+		if t.fused() {
+			first := last - 1
+			for m.dec[idx+first].Class != isa.ClCmp {
+				first--
+			}
+			k = min(k, first)
+		}
+		break
+	}
+	return j, k
+}
+
+// retire charges the first k instructions of a partial block b to the
+// stretch from the predecoded text: side exits, prefixes and bails are
+// rare, so the rescan is cheaper than per-op accounting. (A whole block
+// charges its precomputed sums inline in runTranslated.)
+func (b *tblock) retire(m *Machine, st *tstate, k uint64) {
+	st.n += k
+	idx := (b.entry - TextBase) / isa.InstrBytes
+	for i := idx; i < idx+k; i++ {
+		d := &m.dec[i]
+		st.cycles += uint64(d.Cost)
+		switch {
+		case d.Class.IsLoad():
+			st.loads++
+		case d.Class.IsStore():
+			st.stores++
+		}
+	}
+}
+
+// resume returns the PC/NPC after the first k instructions of b: past a
+// completed CTI block at its successor, after the CTI alone in the delay
+// slot with NPC at the successor, otherwise sequential.
+func (b *tblock) resume(st *tstate, k uint64) (pc, npc uint64) {
+	pc = b.entry + k*isa.InstrBytes
+	if b.kind == tEndCTI {
+		switch k {
+		case b.ninstr:
+			pc = st.target
+		case b.ninstr - 1:
+			return pc, st.target
+		}
+	}
+	return pc, pc + isa.InstrBytes
+}
+
+// exec is the threaded-code dispatch loop over code, all of b.code or a
+// prefix of it: one switch per pre-resolved op, with no per-op horizon,
+// pending, or bounds checks (the caller proved the ops fit) and no
+// per-op cycle accounting for ALU ops (the caller charges base costs).
+// It returns early — with k, the instructions of b retired —
+// when an op bails (k excludes it) or a count left an overflow pending
+// (k includes the op's instructions). Only miss paths can count, so only
+// they look at the pending list.
+func (b *tblock) exec(m *Machine, st *tstate, code []tinstr) (k uint64, early bool) {
 	for i := 0; i < len(code); i++ {
 		t := &code[i]
 		// Folded fetch probe for never-bailing kinds: their fetch stall is
 		// unconditional, so the probe rides in the op's spare op2 bits
 		// instead of a standalone probe op ahead of it (probes were a
 		// quarter of all dispatches). Trap-capable ops — tMem, tDivRem —
-		// keep the probe inside their exec funcs, where the stall stays
-		// provisional until the bail predicates pass.
+		// probe inside their exec funcs, after their bail predicates.
 		if t.op2&opProbeMask != 0 && t.kind < tDivRem {
-			ppc := t.pc
-			if t.kind >= tFBeRR && t.kind <= tFBleuRI {
-				ppc -= 2 * isa.InstrBytes // fused ops carry the fall-through in pc
-			}
+			ppc := t.instrPC()
 			line := ppc >> m.icLineShift
 			if t.op2&opProbeMask == probeAlways<<opProbeShift || line != st.fetchLine {
 				st.fetchLine = line
-				// prefix doubles as the site's I$ way cache: only bailing
-				// ops read it as a cycle prefix, and never-bailing ops are
-				// the only probe carriers.
-				if !m.IC.WayHit(int(t.prefix), ppc, false) {
-					m.icFoldProbeSlow(t, ppc, st)
+				if !m.IC.WayHit(int(t.way), ppc, false) && m.icFoldProbeSlow(t, ppc, st) == opExit {
+					// End the loop after this op, which still runs, and
+					// side-exit after its (last) instruction.
+					code = code[:i+1]
+					k, early = (ppc-b.entry)/isa.InstrBytes+1, true
 				}
 			}
 		}
@@ -720,55 +669,58 @@ func (b *tblock) exec(m *Machine, st *tstate) bool {
 			}
 			st.target = target
 		case tDivRem:
-			if !m.execDivRem(t, st) {
-				b.bailStats(m, st)
-				return false
+			if r := m.execDivRem(t, st); r != opDone {
+				return b.stopAt(t, r)
 			}
 		case tMem:
-			if !m.execMem(t, st) {
-				b.bailStats(m, st)
-				return false
+			if r := m.execMem(t, st); r != opDone {
+				return b.stopAt(t, r)
 			}
 		case tProbeFirst:
 			if t.aux != st.fetchLine {
 				st.fetchLine = t.aux
-				if !m.IC.WayHit(int(t.imm), t.pc, false) {
-					m.icProbeSlow(t, st)
+				if !m.IC.WayHit(int(t.imm), t.pc, false) && m.icProbeSlow(t, st) == opExit {
+					return b.stopAt(t, opExit)
 				}
 			}
 		case tProbeAlways:
 			st.fetchLine = t.aux
-			if !m.IC.WayHit(int(t.imm), t.pc, false) {
-				m.icProbeSlow(t, st)
+			if !m.IC.WayHit(int(t.imm), t.pc, false) && m.icProbeSlow(t, st) == opExit {
+				return b.stopAt(t, opExit)
 			}
 		}
 	}
-	st.n += b.ninstr
-	st.cycles += b.static
-	st.loads += b.nload
-	st.stores += b.nstore
-	return true
+	return k, early
 }
 
-// bailStats charges the statistics of a bailing block's completed prefix:
-// the instruction count recovers from the bail PC (ops are emitted in PC
-// order), and the load/store counts recount from the predecoded text —
-// bails are trap retries and syscall handoffs, far off the hot path, so
-// the rare rescan is cheaper than per-access increments in execMem. The
-// bailing instruction itself is excluded: the interpreter re-executes it
-// and performs its accounting on the reference path.
-func (b *tblock) bailStats(m *Machine, st *tstate) {
-	k := (st.bailPC - b.entry) / isa.InstrBytes
-	st.n += k
-	idx := (b.entry - TextBase) / isa.InstrBytes
-	for i := idx; i < idx+k; i++ {
-		switch cl := m.dec[i].Class; {
-		case cl.IsLoad():
-			st.loads++
-		case cl.IsStore():
-			st.stores++
-		}
+// stopAt is exec's early return at op t, a trap-capable op or a probe,
+// which covers the one instruction at t.pc: before it on a bail, after it
+// on a side exit.
+func (b *tblock) stopAt(t *tinstr, r uint8) (uint64, bool) {
+	k := (t.pc - b.entry) / isa.InstrBytes
+	if r == opExit {
+		k++
 	}
+	return k, true
+}
+
+// pendingExit reports opExit when a count just left an overflow pending.
+// Stretches start with none pending, so any entry was made by the op
+// that calls it.
+func (m *Machine) pendingExit() uint8 {
+	if len(m.pending) != 0 {
+		return opExit
+	}
+	return opDone
+}
+
+// icMiss charges an I$ miss on the fetch at pc: the statistic, the stall,
+// and the armed count.
+func (m *Machine) icMiss(pc uint64, st *tstate) uint8 {
+	m.stats.ICMisses++
+	st.cycles += uint64(m.Cfg.ICMissStall)
+	m.count(hwc.EvICMiss, 1, pc, 0, false)
+	return m.pendingExit()
 }
 
 // icProbeSlow is the fetch probe's fallback when the probe site's way
@@ -777,35 +729,34 @@ func (b *tblock) bailStats(m *Machine, st *tstate) {
 // so the way cache only goes stale when a replacement moves it.
 //
 //go:noinline
-func (m *Machine) icProbeSlow(t *tinstr, st *tstate) {
+func (m *Machine) icProbeSlow(t *tinstr, st *tstate) uint8 {
 	hit, _ := m.IC.AccessFull(t.pc, false, true)
 	t.imm = int64(m.IC.LastWay())
-	if !hit {
-		m.stats.ICMisses++
-		st.cycles += uint64(m.Cfg.ICMissStall)
-		m.count(hwc.EvICMiss, 1, t.pc, 0, false)
+	if hit {
+		return opDone
 	}
+	return m.icMiss(t.pc, st)
 }
 
 // icFoldProbeSlow is icProbeSlow for a probe folded into a never-bailing
-// op, whose way cache lives in the op's (otherwise unread) prefix field.
+// op, whose way cache lives in the op's way field.
 //
 //go:noinline
-func (m *Machine) icFoldProbeSlow(t *tinstr, ppc uint64, st *tstate) {
+func (m *Machine) icFoldProbeSlow(t *tinstr, ppc uint64, st *tstate) uint8 {
 	hit, _ := m.IC.AccessFull(ppc, false, true)
-	t.prefix = uint64(m.IC.LastWay())
-	if !hit {
-		m.stats.ICMisses++
-		st.cycles += uint64(m.Cfg.ICMissStall)
-		m.count(hwc.EvICMiss, 1, ppc, 0, false)
+	t.way = uint64(m.IC.LastWay())
+	if hit {
+		return opDone
 	}
+	return m.icMiss(ppc, st)
 }
 
 // fbr publishes a fused branch's successor: the taken target (aux) or the
 // PC after the delay slot (carried in the pc field; a fused op never
-// probes or traps, so the field is free). The comparison result, not the
-// condition codes, decides — they are equivalent by the setCC identities
-// (Z ⇔ a=b, N≠V ⇔ a<b signed, C ⇔ a<b unsigned).
+// traps, and its probe reads the branch PC through instrPC). The
+// comparison result, not the condition codes, decides — they are
+// equivalent by the setCC identities (Z ⇔ a=b, N≠V ⇔ a<b signed, C ⇔ a<b
+// unsigned).
 func fbr(st *tstate, t *tinstr, taken bool) {
 	if taken {
 		st.target = t.aux
@@ -814,65 +765,44 @@ func fbr(st *tstate, t *tinstr, taken bool) {
 	}
 }
 
-// execDivRem executes a translated divide/remainder. The optional fetch
-// probe is folded in because its stall must be discarded if the
-// divide-by-zero predicate bails (the reference path charges no cycles
-// for a trapping instruction, while its fetch state effects remain — the
-// interpreter's re-execution skips the probe because the fetch line
-// already matches).
-func (m *Machine) execDivRem(t *tinstr, st *tstate) bool {
+// execDivRem executes a translated divide/remainder. The divide-by-zero
+// predicate comes first: a bail leaves the I$ and the counters untouched,
+// and Step's re-execution probes, writes rd=0, and raises the exact trap.
+func (m *Machine) execDivRem(t *tinstr, st *tstate) uint8 {
 	op2 := t.op2
-	var fs uint64
-	if probe := (op2 >> opProbeShift) & 3; probe != probeNone {
-		line := t.aux
-		if probe == probeAlways || line != st.fetchLine {
-			st.fetchLine = line
-			if hit, _ := m.IC.AccessFull(t.pc, false, true); !hit {
-				m.stats.ICMisses++
-				fs = uint64(m.Cfg.ICMissStall)
-				m.count(hwc.EvICMiss, 1, t.pc, 0, false)
-			}
-		}
-	}
 	b := t.imm
 	if op2&opRegOff != 0 {
 		b = *t.rs2
 	}
 	if b == 0 {
-		// Bail before any architectural effect; the interpreter
-		// re-executes, writes rd=0, and raises the exact trap.
-		return st.fail(t.pc, op2&opDelay != 0, t.prefix)
+		return opBail
+	}
+	r := opDone
+	if probe := (op2 >> opProbeShift) & 3; probe != probeNone {
+		if probe == probeAlways || t.aux != st.fetchLine {
+			st.fetchLine = t.aux
+			if hit, _ := m.IC.AccessFull(t.pc, false, true); !hit {
+				r = m.icMiss(t.pc, st)
+			}
+		}
 	}
 	if op2&opIsDiv != 0 {
 		*t.rd = *t.rs1 / b
 	} else {
 		*t.rd = *t.rs1 % b
 	}
-	st.cycles += fs
-	return true
+	return r
 }
 
-// execMem executes a translated memory access: runInner's access() with
-// the fetch probe folded in, the trap checks turned into bails, and the
-// cache hierarchy entered through the specialized stall paths below
+// execMem executes a translated memory access: exec1's fetch probe and
+// access() with the trap checks turned into bails ahead of the probe, and
+// the cache hierarchy entered through the specialized miss paths below
 // instead of the Result-returning API. Armed events count through the
-// same count() calls as the reference path (the armed-event budget
-// routes them into the batch deltas); simulation state updates — DTLB,
-// D$/E$, statistics — are exactly the reference path's.
-func (m *Machine) execMem(t *tinstr, st *tstate) bool {
+// same count() calls as the reference path, with the same trigger;
+// simulation state updates — I$, DTLB, D$/E$, statistics — are exactly
+// the reference path's.
+func (m *Machine) execMem(t *tinstr, st *tstate) uint8 {
 	op2 := t.op2
-	var fs uint64
-	if probe := (op2 >> opProbeShift) & 3; probe != probeNone {
-		line := t.pc >> m.icLineShift
-		if probe == probeAlways || line != st.fetchLine {
-			st.fetchLine = line
-			if hit, _ := m.IC.AccessFull(t.pc, false, true); !hit {
-				m.stats.ICMisses++
-				fs = uint64(m.Cfg.ICMissStall)
-				m.count(hwc.EvICMiss, 1, t.pc, 0, false)
-			}
-		}
-	}
 	b := t.imm
 	if op2&opRegOff != 0 {
 		b = *t.rs2
@@ -880,28 +810,37 @@ func (m *Machine) execMem(t *tinstr, st *tstate) bool {
 	addr := uint64(*t.rs1 + b)
 	cl := isa.Class(op2 & opClassMask)
 	if cl != isa.ClPrefetch && addr&t.aux&siteAlignMask != 0 {
-		return st.fail(t.pc, op2&opDelay != 0, t.prefix&sitePrefixMask) // Misaligned
+		return opBail // misaligned
 	}
 	seg, pageSize := m.segment(addr)
-	if seg == SegNone {
-		if cl == isa.ClPrefetch {
-			st.cycles += fs
-			return true // prefetches never fault, touch no TLB or cache
-		}
-		return st.fail(t.pc, op2&opDelay != 0, t.prefix&sitePrefixMask) // Segv
+	if seg == SegNone && cl != isa.ClPrefetch {
+		return opBail // segv
 	}
-	stall := fs
-	// Per-site DTLB cache (prefix high bits): most sites re-translate the
-	// page they used last time; the entry index is verified against the
-	// live entry, so a stale hint just falls back to the full lookup.
+	r := opDone
+	if probe := (op2 >> opProbeShift) & 3; probe != probeNone {
+		line := t.pc >> m.icLineShift
+		if probe == probeAlways || line != st.fetchLine {
+			st.fetchLine = line
+			if hit, _ := m.IC.AccessFull(t.pc, false, true); !hit {
+				r = m.icMiss(t.pc, st)
+			}
+		}
+	}
+	if seg == SegNone {
+		return r // prefetches never fault, touch no TLB or cache
+	}
+	// Per-site DTLB cache: most sites re-translate the page they used last
+	// time; the entry index is verified against the live entry, so a stale
+	// hint just falls back to the full lookup.
 	pageBase := addr &^ (pageSize - 1)
-	if !m.DTLB.EntryHit(int(t.prefix>>siteTLBShift), pageBase) {
+	if !m.DTLB.EntryHit(int(t.way), pageBase) {
 		if !m.DTLB.Lookup(pageBase, pageSize) {
 			m.stats.DTLBMisses++
-			stall += tlb.MissPenaltyCycles
+			st.cycles += tlb.MissPenaltyCycles
 			m.count(hwc.EvDTLBMiss, 1, t.pc, addr, true)
+			r |= m.pendingExit()
 		}
-		t.prefix = t.prefix&sitePrefixMask | uint64(uint32(m.DTLB.LastIdx()))<<siteTLBShift
+		t.way = uint64(uint32(m.DTLB.LastIdx()))
 	}
 	// The inline MRU-way probe absorbs D$ hits without the Access call,
 	// exactly like the interpreter's HitMRU fast path (a failed probe
@@ -911,59 +850,59 @@ func (m *Machine) execMem(t *tinstr, st *tstate) bool {
 	switch cl {
 	case isa.ClLdB:
 		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			stall += m.loadMissStall(t, addr)
+			r |= m.loadMiss(t, addr, st)
 		}
 		*t.rd = int64(int8(m.Mem.Page(addr)[addr&mem.HostPageMask]))
 	case isa.ClLdUB:
 		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			stall += m.loadMissStall(t, addr)
+			r |= m.loadMiss(t, addr, st)
 		}
 		*t.rd = int64(m.Mem.Page(addr)[addr&mem.HostPageMask])
 	case isa.ClLdW:
 		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			stall += m.loadMissStall(t, addr)
+			r |= m.loadMiss(t, addr, st)
 		}
 		*t.rd = int64(int32(binary.LittleEndian.Uint32(m.Mem.Page(addr)[addr&mem.HostPageMask:])))
 	case isa.ClLdX:
 		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			stall += m.loadMissStall(t, addr)
+			r |= m.loadMiss(t, addr, st)
 		}
 		*t.rd = int64(binary.LittleEndian.Uint64(m.Mem.Page(addr)[addr&mem.HostPageMask:]))
 	case isa.ClStB:
 		if !d.HitMRU(addr, true) && !d.WayHit(int(t.aux>>siteDWayShift), addr, true) {
-			stall += m.storeMissStall(t, addr)
+			r |= m.storeMiss(t, addr, st)
 		}
 		m.Mem.Page(addr)[addr&mem.HostPageMask] = uint8(*t.rd)
 	case isa.ClStW:
 		if !d.HitMRU(addr, true) && !d.WayHit(int(t.aux>>siteDWayShift), addr, true) {
-			stall += m.storeMissStall(t, addr)
+			r |= m.storeMiss(t, addr, st)
 		}
 		binary.LittleEndian.PutUint32(m.Mem.Page(addr)[addr&mem.HostPageMask:], uint32(*t.rd))
 	case isa.ClStX:
 		if !d.HitMRU(addr, true) && !d.WayHit(int(t.aux>>siteDWayShift), addr, true) {
-			stall += m.storeMissStall(t, addr)
+			r |= m.storeMiss(t, addr, st)
 		}
 		binary.LittleEndian.PutUint64(m.Mem.Page(addr)[addr&mem.HostPageMask:], uint64(*t.rd))
 	default: // prefetch
 		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			m.prefetchFill(t, addr)
+			r |= m.prefetchFill(t, addr)
 		}
 	}
-	st.cycles += stall
-	return true
+	return r
 }
 
-// loadMissStall is Hierarchy.Load plus access()'s statistics and count()
+// loadMiss is Hierarchy.Load plus access()'s statistics and count()
 // updates for a load whose MRU-way probe missed: no Result struct
-// crosses the call. Access re-runs the same MRU probe first — the failed
-// probe above mutated nothing — so state evolution is identical to the
-// interpreter's HitMRU-then-Load sequence.
-func (m *Machine) loadMissStall(t *tinstr, addr uint64) uint64 {
+// crosses the call, and the stall goes straight to the stretch. Access
+// re-runs the same MRU probe first — the failed probe above mutated
+// nothing — so state evolution is identical to the interpreter's
+// HitMRU-then-Load sequence.
+func (m *Machine) loadMiss(t *tinstr, addr uint64, st *tstate) uint8 {
 	h := m.Hier
 	hit, _ := h.D.AccessFull(addr, false, true)
 	t.aux = t.aux&^siteDWayMask | uint64(uint32(h.D.LastWay()))<<siteDWayShift
 	if hit {
-		return 0
+		return opDone
 	}
 	m.stats.DCRdMisses++
 	m.count(hwc.EvDCRdMiss, 1, t.pc, addr, true)
@@ -991,22 +930,23 @@ func (m *Machine) loadMissStall(t *tinstr, addr uint64) uint64 {
 	if stall > 0 {
 		m.stats.ECStallCycles += uint64(stall)
 		m.count(hwc.EvECStall, uint64(stall), t.pc, addr, true)
+		st.cycles += uint64(stall)
 	}
-	return uint64(stall)
+	return m.pendingExit()
 }
 
-// storeMissStall mirrors Hierarchy.Store the same way: write-through
+// storeMiss mirrors Hierarchy.Store the same way: write-through
 // no-write-allocate D$, store hits absorbed by the write cache (no E$
 // reference), store misses write-allocating in E$. E$ misses on stores
 // count no ECRdMiss, matching Result's loads-only flag.
-func (m *Machine) storeMissStall(t *tinstr, addr uint64) uint64 {
+func (m *Machine) storeMiss(t *tinstr, addr uint64, st *tstate) uint8 {
 	h := m.Hier
 	hit, _ := h.D.AccessFull(addr, true, false)
 	if hit {
 		// No-write-allocate: only a hit leaves the line resident, so only
 		// a hit refreshes the site's way cache.
 		t.aux = t.aux&^siteDWayMask | uint64(uint32(h.D.LastWay()))<<siteDWayShift
-		return 0
+		return opDone
 	}
 	m.stats.ECRefs++
 	m.count(hwc.EvECRef, 1, t.pc, addr, true)
@@ -1026,18 +966,19 @@ func (m *Machine) storeMissStall(t *tinstr, addr uint64) uint64 {
 	if stall > 0 {
 		m.stats.ECStallCycles += uint64(stall)
 		m.count(hwc.EvECStall, uint64(stall), t.pc, addr, true)
+		st.cycles += uint64(stall)
 	}
-	return uint64(stall)
+	return m.pendingExit()
 }
 
 // prefetchFill mirrors Hierarchy.Prefetch: fills both levels, never
 // stalls, counts an E$ reference on a D$ miss and nothing else.
-func (m *Machine) prefetchFill(t *tinstr, addr uint64) {
+func (m *Machine) prefetchFill(t *tinstr, addr uint64) uint8 {
 	h := m.Hier
 	hit, _ := h.D.AccessFull(addr, false, true)
 	t.aux = t.aux&^siteDWayMask | uint64(uint32(h.D.LastWay()))<<siteDWayShift
 	if hit {
-		return
+		return opDone
 	}
 	m.stats.ECRefs++
 	m.count(hwc.EvECRef, 1, t.pc, addr, true)
@@ -1045,24 +986,23 @@ func (m *Machine) prefetchFill(t *tinstr, addr uint64) {
 		h.E.AccessFull(addr, false, true)
 		t.aux = t.aux&^siteEWayMask | uint64(uint32(h.E.LastWay()))<<siteEWayShift&siteEWayMask
 	}
+	return m.pendingExit()
 }
 
 // translateBlock compiles the superblock entered at instruction index
 // idx, or returns noTransBlock when no block can start there.
 func (m *Machine) translateBlock(idx int) *tblock {
 	b := &tblock{entry: TextBase + uint64(idx)*isa.InstrBytes}
-	stallMax := uint64(m.Cfg.Costs.EHitStall+m.Cfg.Costs.MemStall+
-		m.Cfg.Costs.StoreMissStall+m.Cfg.Costs.WritebackStall) + tlb.MissPenaltyCycles
 	prevLine := ^uint64(0)
 	i := idx
 	for {
 		if i >= len(m.dec) {
-			// Fell off the end of text: the interpreter raises BadPC.
+			// Fell off the end of text: Step raises BadPC.
 			break
 		}
 		d := &m.dec[i]
 		if d.Class == isa.ClSyscall || d.Class == isa.ClHalt {
-			break // never translated; the interpreter takes over here
+			break // never translated; Step takes over here
 		}
 		pc := TextBase + uint64(i)*isa.InstrBytes
 		line := pc >> m.icLineShift
@@ -1078,7 +1018,7 @@ func (m *Machine) translateBlock(idx int) *tblock {
 		if d.Class.IsCTI() {
 			// A CTI enters a block only with a plain delay slot behind it;
 			// a delay slot that is itself a CTI, a syscall, or a halt (or
-			// past the end of text) keeps the sequence on the interpreter.
+			// past the end of text) keeps the sequence on Step.
 			if i+1 >= len(m.dec) || m.dec[i+1].EndsBlock() {
 				break
 			}
@@ -1087,8 +1027,10 @@ func (m *Machine) translateBlock(idx int) *tblock {
 			// fused op. The compare commutes with the branch's own fetch
 			// probe (the probe touches no registers or condition codes),
 			// so popping it and re-emitting it inside the fused op at the
-			// branch position preserves the execution exactly; costs,
-			// ninstr, and bail prefixes are per-instruction and unchanged.
+			// branch position preserves the execution exactly; costs and
+			// ninstr are per-instruction and unchanged, and exits never
+			// split the pair (fit). Nops between the two emit no op, so
+			// the pair fuses across them.
 			// The compare must not itself carry a folded probe: popping it
 			// would move that probe past the branch position.
 			var fused *tinstr
@@ -1104,9 +1046,6 @@ func (m *Machine) translateBlock(idx int) *tblock {
 					}
 				}
 			}
-			if probe != probeNone {
-				b.wc += uint64(m.Cfg.ICMissStall)
-			}
 			if fused != nil {
 				fused.op2 = probe << opProbeShift
 				b.code = append(b.code, *fused)
@@ -1116,7 +1055,7 @@ func (m *Machine) translateBlock(idx int) *tblock {
 				b.code = append(b.code, ti)
 			}
 			b.static += uint64(d.Cost)
-			b.wc += uint64(d.Cost)
+			b.wc += m.worstCost(d, probe != probeNone)
 
 			ds := &m.dec[i+1]
 			dpc := pc + isa.InstrBytes
@@ -1124,17 +1063,13 @@ func (m *Machine) translateBlock(idx int) *tblock {
 			if dpc>>m.icLineShift != line {
 				dprobe = probeAlways
 			}
-			m.emitInstr(b, ds, dpc, dprobe, true, stallMax)
-			b.static += uint64(ds.Cost)
-			b.wc += uint64(ds.Cost)
+			m.emitInstr(b, ds, dpc, dprobe)
 			b.ninstr = uint64(i + 2 - idx)
 			b.kind = tEndCTI
 			return b
 		}
 
-		m.emitInstr(b, d, pc, probe, false, stallMax)
-		b.static += uint64(d.Cost)
-		b.wc += uint64(d.Cost)
+		m.emitInstr(b, d, pc, probe)
 		i++
 		if uint64(i-idx) >= transMaxBlockInstrs {
 			break
@@ -1145,33 +1080,42 @@ func (m *Machine) translateBlock(idx int) *tblock {
 	}
 	b.ninstr = uint64(i - idx)
 	b.kind = tEndGoto
-	b.next = TextBase + uint64(i)*isa.InstrBytes
 	return b
 }
 
-// emitInstr appends the ops for one non-CTI instruction: a combined
-// probe+op for trap-capable classes (the fetch stall must be discarded if
-// the trap predicate bails), an op carrying the probe in its spare op2
+// worstCost bounds the cycles a non-syscall instruction d can retire: its
+// base cost, an I$ miss when it probes, and for a memory access a DTLB
+// miss plus every cache stall at once. The bound is deliberately loose
+// (no access takes every stall); it only trims how far a stretch reaches
+// toward a cycle horizon. A block's wc is the sum over its instructions,
+// and fit rescans the same sum for a prefix.
+func (m *Machine) worstCost(d *isa.Decoded, probe bool) uint64 {
+	c := uint64(d.Cost)
+	if probe {
+		c += uint64(m.Cfg.ICMissStall)
+	}
+	if d.Class.IsMem() {
+		costs := m.Cfg.Costs
+		c += tlb.MissPenaltyCycles + uint64(costs.EHitStall+costs.MemStall+costs.StoreMissStall+costs.WritebackStall)
+	}
+	return c
+}
+
+// emitInstr appends the ops for one non-CTI instruction and adds it to
+// the block's sums: a probe+op for trap-capable classes (the probe must
+// follow the bail predicates), an op carrying the probe in its spare op2
 // bits otherwise (standalone probes survive only ahead of nops, which
 // emit no op to carry one).
-// The block's running static sum becomes the op's bail prefix; stallMax
-// is the worst per-access memory stall, for the block's wc bound.
-func (m *Machine) emitInstr(b *tblock, d *isa.Decoded, pc uint64, probe uint8, delay bool, stallMax uint64) {
+func (m *Machine) emitInstr(b *tblock, d *isa.Decoded, pc uint64, probe uint8) {
+	b.static += uint64(d.Cost)
+	b.wc += m.worstCost(d, probe != probeNone)
 	line := pc >> m.icLineShift
 	flags := probe << opProbeShift
-	if delay {
-		flags |= opDelay
-	}
 	if d.Flags&isa.DFlagImm == 0 {
 		flags |= opRegOff
 	}
 	switch {
 	case d.Class.IsMem():
-		if probe != probeNone {
-			b.wc += uint64(m.Cfg.ICMissStall)
-		}
-		b.wc += stallMax
-		b.nmem++
 		switch {
 		case d.Class.IsLoad():
 			b.nload++
@@ -1181,13 +1125,10 @@ func (m *Machine) emitInstr(b *tblock, d *isa.Decoded, pc uint64, probe uint8, d
 		b.code = append(b.code, tinstr{
 			kind: tMem, op2: flags | uint8(d.Class),
 			rd: m.memReg(d), rs1: &m.Regs[d.Rs1], rs2: &m.Regs[d.Rs2],
-			imm: d.Imm, aux: uint64(d.MemSize - 1), pc: pc, prefix: b.static,
+			imm: d.Imm, aux: uint64(d.MemSize - 1), pc: pc,
 		})
 		return
 	case d.Class == isa.ClDiv || d.Class == isa.ClRem:
-		if probe != probeNone {
-			b.wc += uint64(m.Cfg.ICMissStall)
-		}
 		op2 := flags
 		if d.Class == isa.ClDiv {
 			op2 |= opIsDiv
@@ -1195,17 +1136,14 @@ func (m *Machine) emitInstr(b *tblock, d *isa.Decoded, pc uint64, probe uint8, d
 		b.code = append(b.code, tinstr{
 			kind: tDivRem, op2: op2,
 			rd: m.wregPtr(d.Rd), rs1: &m.Regs[d.Rs1], rs2: &m.Regs[d.Rs2],
-			imm: d.Imm, aux: line, pc: pc, prefix: b.static,
+			imm: d.Imm, aux: line, pc: pc,
 		})
 		return
 	}
-	if probe != probeNone {
-		b.wc += uint64(m.Cfg.ICMissStall)
-		if d.Class == isa.ClNop {
-			// A nop emits no op to carry the probe; keep it standalone.
-			b.code = append(b.code, tinstr{kind: tProbeFirst - 1 + probe, pc: pc, aux: line})
-			return
-		}
+	if probe != probeNone && d.Class == isa.ClNop {
+		// A nop emits no op to carry the probe; keep it standalone.
+		b.code = append(b.code, tinstr{kind: tProbeFirst - 1 + probe, pc: pc, aux: line})
+		return
 	}
 	if d.Class == isa.ClNop {
 		return // base cost is in the static sum; nothing executes
