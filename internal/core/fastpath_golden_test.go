@@ -26,12 +26,12 @@ type goldenSet struct {
 	spec  string
 }
 
-// TestFastPathGolden is the differential golden test for the batched
-// execution engine: a full MCF collect — both of the paper's counter
-// sets, clock profiling on — run on the instruction-granular reference
-// stepper (collect.Options.SingleStep) and on the default engine
-// (translated superblocks for hot code, the event-horizon interpreter
-// for cold code and exhausted armed budgets) must produce
+// TestFastPathGolden is the differential golden test for the execution
+// engine: a full MCF collect — both of the paper's counter sets, clock
+// profiling on — run on the instruction-granular reference stepper
+// (collect.Options.SingleStep) and on the default engine (translated
+// superblocks that count armed events exactly and side-exit at overflows
+// and cycle horizons, with Step for everything else) must produce
 // byte-identical experiment directories and byte-identical rendered
 // reports. Any drift in event streams, skid draws, cycle counts, or
 // attribution shows up as a file diff here.
@@ -47,9 +47,9 @@ func TestFastPathGolden(t *testing.T) {
 	counterSets := []goldenSet{
 		{"A", 900007, "+ecstall,20011,+ecrm,997"},
 		{"B", 0, "+ecref,2003,+dtlbm,499"},
-		// I$ misses alongside D$ read misses: the two event classes whose
-		// translated-block budgets are armed per-instruction and
-		// per-access respectively, in one run.
+		// I$ misses alongside D$ read misses in one run: translated code
+		// counts the first on its fetch probes and the second on its
+		// load miss path, and side-exits after whichever overflows.
 		{"C", 900007, "+icm,61,+dcrm,757"},
 	}
 	reports := []string{
@@ -91,10 +91,10 @@ func TestFastPathGoldenNBody(t *testing.T) {
 
 	// The advisor loop's dense intervals, golden on their own (the
 	// analyzer merges only experiments sharing one clock interval). The
-	// E$-stall interval sits below the study machine's 384-cycle
-	// worst-case instruction cost, so the translated batch never gets an
-	// armed-event budget and counts every event exactly in the
-	// interpreter instead.
+	// E$-stall interval of 211 is little more than one E$ miss's
+	// 180-cycle stall, so translated blocks side-exit on overflow after
+	// overflow, and the 9001-cycle clock puts a cycle horizon inside
+	// many of them.
 	dense := []goldenSet{{"D", 9001, "+ecstall,211,+ecrm,31"}}
 	runTwoWayGolden(t, prog, input, cfg, dense, reports)
 }

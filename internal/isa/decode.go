@@ -90,8 +90,8 @@ func (c Class) IsMem() bool { return c >= ClLdB && c <= ClPrefetch }
 // one whose successor takes effect after the architectural delay slot.
 func (c Class) IsCTI() bool { return c == ClBranch || c == ClCall || c == ClJmpl }
 
-// Successor and footprint metadata, consumed by the machine's translator
-// to form superblocks and bound their worst-case cost statically.
+// Successor and trap metadata about a predecoded instruction, for
+// forming superblocks.
 
 // StaticTarget returns the statically resolved control-transfer target
 // (an absolute PC, precomputed by Predecode) of a branch or call, and

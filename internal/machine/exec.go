@@ -37,11 +37,11 @@ const batchTarget = 1 << 20
 // executes translated code, which counts every other armed event exactly
 // and accounts instructions and cycles once per stretch. What translated
 // code does not run — syscalls and halts, entries mid-delay-slot, trap
-// retries, the skid instructions after an overflow, and instructions
-// within one instruction's worst case of a horizon — runs on Step. The
-// produced execution — every counter overflow, its skid draw, every
-// delivered event and clock tick — is identical to driving the machine
-// with Step.
+// retries, the skid instructions after an overflow, the instruction at
+// each tick, and instructions whose static cost does not fit before a
+// horizon — runs on Step. The produced execution — every counter
+// overflow, its skid draw, every delivered event and clock tick — is
+// identical to driving the machine with Step.
 func (m *Machine) Run() error {
 	for !m.halted {
 		if _, err := m.runBatch(batchTarget); err != nil {
@@ -85,12 +85,13 @@ func (m *Machine) runBatch(limit uint64) (uint64, error) {
 		}
 		maxN = min(maxN, m.Cfg.MaxInstrs-m.stats.Instrs)
 	}
-	// A stretch counts instructions and cycles in one flush at its end,
-	// so an armed instruction or cycle counter bounds it at Remaining()-1:
-	// the flush never overflows, and the overflowing instruction is
-	// counted by Step with its exact trigger. A clock tick bounds the
-	// cycles at the tick itself, which Step delivers at the top of the
-	// next instruction.
+	// A stretch counts instructions and cycles in one flush at its end.
+	// An armed instruction counter bounds it at Remaining()-1, so that
+	// flush never overflows. An armed cycle counter bounds its static cost
+	// at Remaining()-1, and a clock tick at the tick, which Step delivers
+	// at the top of the next instruction; a stall past either ends the
+	// stretch after its instruction, so the cycles flush can overflow only
+	// on the stretch's last instruction, counted there as Step would.
 	stop := ^uint64(0)
 	if m.ClockTickCycles > 0 {
 		stop = m.nextTick

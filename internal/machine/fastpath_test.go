@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"dsprof/internal/asm"
+	"dsprof/internal/cache"
 	"dsprof/internal/hwc"
 	"dsprof/internal/isa"
+	"dsprof/internal/tlb"
 )
 
 // TestClockTickCoalescing is the regression test for the tick-coalescing
@@ -151,6 +153,52 @@ func equivProg(b *asm.Builder) {
 	b.Emit(isa.Instr{Op: isa.LdW, Rd: isa.O2, Rs1: isa.O0, UseImm: true, Imm: 0})  // delay slot
 }
 
+// pageStrideProg loads one word from each of 16 pages, 200 times over.
+// The pages are a page and a D$ line apart, so on a machine whose DTLB
+// holds fewer than 16 pages every load misses the DTLB while its line
+// stays resident in the D$: the DTLB miss is the access's only stall, and
+// no cache miss path follows it.
+func pageStrideProg(b *asm.Builder) {
+	const stride = 8192 + 32
+	b.Emit(movImm(isa.O0, 16*stride))
+	b.Emit(isa.Instr{Op: isa.Syscall, UseImm: true, Imm: SysMalloc})
+	b.Emit(isa.Instr{Op: isa.Or, Rd: isa.L0, Rs1: isa.O0, Rs2: isa.G0}) // base
+	b.Emit(movImm(isa.L2, 16*stride))                                   // end offset
+	b.Emit(movImm(isa.L3, 200))                                         // passes
+	b.Label("pass")
+	b.Emit(movImm(isa.L1, 0))
+	b.Label("page")
+	b.Emit(isa.Instr{Op: isa.LdX, Rd: isa.O2, Rs1: isa.L0, Rs2: isa.L1})
+	b.Emit(isa.Instr{Op: isa.Add, Rd: isa.L1, Rs1: isa.L1, UseImm: true, Imm: stride})
+	b.Emit(isa.Instr{Op: isa.Cmp, Rs1: isa.L1, Rs2: isa.L2})
+	b.EmitBranch(isa.Bl, "page")
+	b.Emit(isa.Instr{Op: isa.Nop}) // delay slot
+	b.Emit(isa.Instr{Op: isa.Sub, Rd: isa.L3, Rs1: isa.L3, UseImm: true, Imm: 1})
+	b.Emit(isa.Instr{Op: isa.Cmp, Rs1: isa.L3, UseImm: true, Imm: 0})
+	b.EmitBranch(isa.Bg, "pass")
+	b.Emit(isa.Instr{Op: isa.Nop}) // delay slot
+	b.Emit(isa.Instr{Op: isa.Halt})
+}
+
+// stallConfig is ScaledConfig with a 64-byte direct-mapped I$ and a
+// 2-entry DTLB, so fetch, TLB and cache stalls all come often.
+func stallConfig() Config {
+	cfg := ScaledConfig()
+	cfg.ICache = cache.Config{Name: "I$", SizeBytes: 64, LineBytes: 32, Assoc: 1}
+	cfg.TLB = tlb.Config{Entries: 2, Assoc: 2}
+	return cfg
+}
+
+// armStallHorizons puts a clock tick every 97 cycles and a cycle-counter
+// overflow every 89: below one DTLB miss or E$ miss, so single stalls
+// reach a horizon in the middle of a block.
+func armStallHorizons(t *testing.T) func(m *Machine) {
+	return func(m *Machine) {
+		m.ClockTickCycles = 97
+		mustArm(t, m, 0, hwc.EvCycles, 89)
+	}
+}
+
 // equivDelayLoadPC is the PC of equivProg's delay-slot load.
 func equivDelayLoadPC(t *testing.T) uint64 {
 	t.Helper()
@@ -169,12 +217,18 @@ func equivDelayLoadPC(t *testing.T) uint64 {
 // output — delivered events with their skid draws, ticks, stats,
 // registers, counter totals — to be identical. The dense arms put an
 // overflow every few events of every counter class, so translated blocks
-// side-exit constantly.
+// side-exit constantly. The stall arms put clock ticks and cycle
+// overflows less than one DTLB or E$ miss apart: every stall site — the
+// I$ miss, the DTLB miss, loadMiss and storeMiss — must side-exit once
+// its stall passes the cycle horizon, and one of the arms fails when a
+// site does not.
 func TestFastPathEquivalence(t *testing.T) {
 	type armFn func(m *Machine)
 	cases := []struct {
 		name string
 		cfg  func() Config
+		// prog is the workload; nil runs equivProg.
+		prog func(b *asm.Builder)
 		arm  armFn
 		// at, when set, is a PC some overflow of the reference run must
 		// trigger on.
@@ -229,6 +283,10 @@ func TestFastPathEquivalence(t *testing.T) {
 			m.ClockTickCycles = 1013
 			mustArm(t, m, 0, hwc.EvCycles, 7001)
 		}},
+		// I$, load and store stalls at the horizons.
+		{name: "stall-horizons", cfg: stallConfig, arm: armStallHorizons(t)},
+		// DTLB stalls at the horizons, with no cache miss path after them.
+		{name: "dtlb-horizons", cfg: stallConfig, prog: pageStrideProg, arm: armStallHorizons(t)},
 		{name: "budget", cfg: func() Config {
 			cfg := DefaultConfig()
 			cfg.MaxInstrs = 5000
@@ -239,9 +297,13 @@ func TestFastPathEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := driveMachine(t, tc.cfg(), equivProg, tc.arm, stepLoop)
-			run := driveMachine(t, tc.cfg(), equivProg, tc.arm, (*Machine).Run)
-			sliced := driveMachine(t, tc.cfg(), equivProg, tc.arm, runForLoop)
+			prog := tc.prog
+			if prog == nil {
+				prog = equivProg
+			}
+			ref := driveMachine(t, tc.cfg(), prog, tc.arm, stepLoop)
+			run := driveMachine(t, tc.cfg(), prog, tc.arm, (*Machine).Run)
+			sliced := driveMachine(t, tc.cfg(), prog, tc.arm, runForLoop)
 			if ref.stats.Instrs < 10000 && tc.name != "budget" {
 				t.Fatalf("workload too small to be meaningful: %d instrs", ref.stats.Instrs)
 			}
@@ -272,8 +334,8 @@ func triggersAt(lg runLog, pc uint64) bool {
 }
 
 // armECStallDense arms the advisor loop's dense intervals and clock: E$
-// stall cycles every 211, below the worst-case cost of one memory
-// instruction, next to E$ read misses every 31.
+// stall cycles every 211, little more than one E$ miss's 180-cycle
+// stall, next to E$ read misses every 31.
 func armECStallDense(t *testing.T) func(m *Machine) {
 	return func(m *Machine) {
 		m.ClockTickCycles = 9001

@@ -172,8 +172,8 @@ func FuzzBackendDifferential(f *testing.F) {
 	// Mixed-width same-offset stores and loads (the union aliasing shape):
 	// StW@128/LdW@129 and StX@0/LdX@1 also cross the misalignment path.
 	f.Add([]byte{3, 5, 11, 16, 9, 16, 12, 32, 10, 32, 11, 48, 9, 48, 12, 0, 10, 0, 16, 4})
-	// Dense E$-stall corpus: the advisor loop's E$ stall at 211 (below one
-	// memory instruction's worst-case cost) and E$ read misses at 31,
+	// Dense E$-stall corpus: the advisor loop's E$ stall at 211 (little
+	// more than one E$ miss's 180-cycle stall) and E$ read misses at 31,
 	// clock on.
 	f.Add([]byte{6, 5, 208, 28, 9, 17, 11, 200, 9, 33, 17, 0, 10, 129, 12, 72, 14, 3, 16, 4})
 	// Dense corpus, one seed per counter-class pair at the smallest
@@ -204,6 +204,18 @@ func FuzzBackendDifferential(f *testing.F) {
 		seed[i] = byte(i*37 + 11)
 	}
 	f.Add(seed)
+	// Stall-horizon corpus: the clock next to cycles at 89, so one stall
+	// can reach a horizon in the middle of a block. A straight run of 40
+	// adds crosses five I$ lines, then first-touch loads and stores miss
+	// the D$ and E$.
+	stall := []byte{0, 1, 0, 86}
+	for i := byte(1); i <= 40; i++ {
+		stall = append(stall, 0, i) // add
+	}
+	f.Add(append(stall, 9, 17, 0, 1, 11, 200, 0, 2, 10, 33, 0, 3, 12, 72, 0, 4, 9, 129, 0, 5, 11, 48, 0, 6))
+	// Cycles at 31 next to the clock, over a prefetch whose DTLB miss is
+	// its only stall: a prefetch runs no load or store miss path.
+	f.Add([]byte{0, 1, 13, 28, 0, 0, 0, 1, 0, 2, 0, 3, 16, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			t.Skip("program cap")

@@ -26,11 +26,11 @@ import (
 //     of its stretch: the block side-exits right after its instruction,
 //     and Step ages the skid from there.
 //  2. Horizon. A block runs whole only when the remaining horizon covers
-//     its worst-case footprint — instructions (ninstr) and cycles (wc) —
-//     so the stretch flush can never overflow an armed instruction or
-//     cycle counter and no clock tick falls due inside a block. Otherwise
-//     the block runs its longest prefix that fits (fit); what does not
-//     fit is left to Step.
+//     its instructions (ninstr) and its static cost, charged before it
+//     runs; otherwise its longest prefix that fits runs (fit), and Step
+//     takes the rest. A stall that passes the cycle horizon side-exits,
+//     so a tick falls due, or the stretch flush overflows a cycle
+//     counter, only after the stretch's last instruction.
 //  3. Trap-free bodies. Any instruction that could trap (divide by zero,
 //     misalignment, segmentation) evaluates its trap predicate before its
 //     fetch probe and any architectural effect, and bails out; Step then
@@ -46,18 +46,18 @@ import (
 // to the same experiment bytes.
 
 const (
-	// transMaxBlockInstrs caps a block so its worst-case cycle footprint
-	// stays small against the cycle horizons.
+	// transMaxBlockInstrs caps a block so its static cost stays small
+	// against the cycle horizons.
 	transMaxBlockInstrs = 64
 )
 
-// tstate is the live state of one translated stretch. cycles accumulates
-// only *dynamic* cost (fetch, TLB, and cache stalls) as ops run; the
-// static base costs of the instructions a block retired are added after
-// it runs, so a partial block costs exactly the cycles Step would have
-// charged.
+// tstate is the live state of one translated stretch. cycles gets each
+// block's static cost before the block runs and the dynamic cost (fetch,
+// TLB, and cache stalls) as ops take it; retire takes back what a partial
+// block did not run, so the stretch costs exactly what Step would charge.
 type tstate struct {
 	cycles    uint64
+	horizon   uint64 // cycles the stretch may reach before a stall ends it
 	n         uint64
 	loads     uint64 // retired loads, batched into m.stats at stretch end
 	stores    uint64 // retired stores, likewise
@@ -72,7 +72,7 @@ type tstate struct {
 // op's miss paths combine theirs with |, so opDone must stay zero.
 const (
 	opDone uint8 = iota // retired
-	opExit              // retired, and a count it made left an overflow pending
+	opExit              // retired, and it left an overflow pending or passed the cycle horizon
 	opBail              // its trap predicate holds: not executed, Step re-executes it
 )
 
@@ -235,7 +235,6 @@ type tblock struct {
 	nload  uint64 // load instructions, for the batched Loads statistic
 	nstore uint64 // store instructions, for the batched Stores statistic
 	static uint64 // sum of base pipeline costs
-	wc     uint64 // worst-case cycle footprint (static + max stalls)
 	kind   uint8
 	// s0/s1 cache the first two translated successors, so the dispatcher
 	// follows hot block-to-block edges (a goto, a branch's taken and
@@ -277,9 +276,10 @@ func (m *Machine) ensureTrans() *transState {
 // most stop. A block is translated on its first dispatch. The stretch
 // ends when the next block does not fit whole (after running the prefix
 // that does), control reaches untranslatable code, a count leaves an
-// overflow pending (a side exit), or an op bails for a trap retry. It
-// returns how many instructions retired and leaves PC/NPC, stats, and the
-// fetch line exactly as Step would after the same instructions.
+// overflow pending or a stall passes stop (a side exit), or an op bails
+// for a trap retry. It returns how many instructions retired and leaves
+// PC/NPC, stats, and the fetch line exactly as Step would after the same
+// instructions.
 func (m *Machine) runTranslated(maxN, stop uint64) uint64 {
 	pc, npc := m.PC, m.NPC
 	if npc != pc+isa.InstrBytes {
@@ -288,9 +288,12 @@ func (m *Machine) runTranslated(maxN, stop uint64) uint64 {
 	}
 	t := m.ensureTrans()
 	st := &t.st
-	*st = tstate{fetchLine: m.lastFetchLine}
 	baseCycles := m.stats.Cycles
+	*st = tstate{horizon: stop - baseCycles, fetchLine: m.lastFetchLine}
+	// prev is the last block that retired instructions (its first pk, if
+	// the stretch ended inside it).
 	var prev *tblock
+	var pk uint64
 	for {
 		var blk *tblock
 		if prev != nil {
@@ -324,29 +327,32 @@ func (m *Machine) runTranslated(maxN, stop uint64) uint64 {
 				}
 			}
 		}
-		code, k := blk.code, blk.ninstr
-		if st.n+k > maxN || baseCycles+st.cycles+blk.wc > stop {
-			// The worst case overruns a horizon: run the prefix that fits.
+		code, k, c := blk.code, blk.ninstr, blk.static
+		if st.n+k > maxN || st.cycles+c > st.horizon {
+			// The block overruns a horizon: run the prefix that fits.
 			var j int
-			if j, k = m.fit(blk, maxN-st.n, stop-baseCycles-st.cycles); k == 0 {
+			if j, k, c = m.fit(blk, maxN-st.n, st.horizon-st.cycles); k == 0 {
 				break
 			}
 			code = code[:j]
 		}
+		st.cycles += c
 		ek, early := blk.exec(m, st, code)
 		if early {
 			k = ek
 		}
 		if k == blk.ninstr {
 			st.n += k
-			st.cycles += blk.static
 			st.loads += blk.nload
 			st.stores += blk.nstore
 		} else {
-			blk.retire(m, st, k)
+			blk.retire(m, st, k, c)
 		}
 		pc, npc = blk.resume(st, k)
 		if early || k < blk.ninstr {
+			if k > 0 {
+				prev, pk = blk, k
+			}
 			break
 		}
 		prev = blk
@@ -358,32 +364,30 @@ func (m *Machine) runTranslated(maxN, stop uint64) uint64 {
 	m.stats.Loads += st.loads
 	m.stats.Stores += st.stores
 	if st.n > 0 {
-		// One flush per stretch. The horizon keeps both counters short of
-		// overflow, so no skid draw reorders and the trigger PC is never
-		// observed.
-		m.count(hwc.EvInstrs, st.n, m.PC, 0, false)
-		m.count(hwc.EvCycles, st.cycles, m.PC, 0, false)
+		// One flush per stretch, counted as Step counts its last
+		// instruction (instructions, then cycles, at that PC): only there
+		// can a stall have taken the cycles past a counter's overflow, and
+		// the instruction horizon keeps EvInstrs short of it.
+		if pk == 0 {
+			pk = prev.ninstr
+		}
+		last := prev.entry + (pk-1)*isa.InstrBytes
+		m.count(hwc.EvInstrs, st.n, last, 0, false)
+		m.count(hwc.EvCycles, st.cycles, last, 0, false)
 	}
 	return st.n
 }
 
-// fit returns the longest prefix of b whose worst case fits within nmax
-// instructions and cmax cycles: its first j ops, covering k instructions.
-// A fused compare-and-branch op is never split. Prefixes run only at a
-// horizon, so the per-instruction rescan stays off the hot path.
-func (m *Machine) fit(b *tblock, nmax, cmax uint64) (j int, k uint64) {
-	idx := (b.entry - TextBase) / isa.InstrBytes
-	for wc := uint64(0); k < min(nmax, b.ninstr); k++ {
-		// The entry probes against the live fetch line; later
-		// instructions probe exactly at a line crossing.
-		pc := b.entry + k*isa.InstrBytes
-		probe := k == 0 || pc>>m.icLineShift != (pc-isa.InstrBytes)>>m.icLineShift
-		if wc += m.worstCost(&m.dec[idx+k], probe); wc > cmax {
-			break
-		}
+// fit returns the longest prefix of b within nmax instructions and cmax
+// cycles of static cost: its first j ops, covering k instructions that
+// cost c. A fused compare-and-branch op is never split.
+func (m *Machine) fit(b *tblock, nmax, cmax uint64) (j int, k, c uint64) {
+	dec := m.dec[(b.entry-TextBase)/isa.InstrBytes:][:b.ninstr]
+	for n := min(nmax, b.ninstr); k < n && c+uint64(dec[k].Cost) <= cmax; k++ {
+		c += uint64(dec[k].Cost)
 	}
-	// Map k to ops. A fused compare-and-branch is never split: a prefix
-	// ending inside one stops before its compare.
+	// Map k to ops. A prefix ending inside a fused compare-and-branch
+	// stops before its compare.
 	for ; j < len(b.code); j++ {
 		t := &b.code[j]
 		last := (t.instrPC() - b.entry) / isa.InstrBytes
@@ -392,22 +396,26 @@ func (m *Machine) fit(b *tblock, nmax, cmax uint64) (j int, k uint64) {
 		}
 		if t.fused() {
 			first := last - 1
-			for m.dec[idx+first].Class != isa.ClCmp {
+			for dec[first].Class != isa.ClCmp {
 				first--
 			}
-			k = min(k, first)
+			for ; k > first; k-- {
+				c -= uint64(dec[k-1].Cost)
+			}
 		}
 		break
 	}
-	return j, k
+	return j, k, c
 }
 
 // retire charges the first k instructions of a partial block b to the
-// stretch from the predecoded text: side exits, prefixes and bails are
-// rare, so the rescan is cheaper than per-op accounting. (A whole block
-// charges its precomputed sums inline in runTranslated.)
-func (b *tblock) retire(m *Machine, st *tstate, k uint64) {
+// stretch from the predecoded text, in place of the c static cycles
+// charged before it ran: side exits, prefixes and bails are rare, so the
+// rescan is cheaper than per-op accounting. (A whole block charges its
+// precomputed sums inline in runTranslated.)
+func (b *tblock) retire(m *Machine, st *tstate, k, c uint64) {
 	st.n += k
+	st.cycles -= c
 	idx := (b.entry - TextBase) / isa.InstrBytes
 	for i := idx; i < idx+k; i++ {
 		d := &m.dec[i]
@@ -441,10 +449,10 @@ func (b *tblock) resume(st *tstate, k uint64) (pc, npc uint64) {
 // prefix of it: one switch per pre-resolved op, with no per-op horizon,
 // pending, or bounds checks (the caller proved the ops fit) and no
 // per-op cycle accounting for ALU ops (the caller charges base costs).
-// It returns early — with k, the instructions of b retired —
-// when an op bails (k excludes it) or a count left an overflow pending
-// (k includes the op's instructions). Only miss paths can count, so only
-// they look at the pending list.
+// It returns early — with k, the instructions of b retired — when an op
+// bails (k excludes it) or left an overflow pending or passed the cycle
+// horizon (k includes the op's instructions). Only miss paths can count
+// or stall, so only they look at the pending list and the horizon.
 func (b *tblock) exec(m *Machine, st *tstate, code []tinstr) (k uint64, early bool) {
 	for i := 0; i < len(code); i++ {
 		t := &code[i]
@@ -704,11 +712,11 @@ func (b *tblock) stopAt(t *tinstr, r uint8) (uint64, bool) {
 	return k, true
 }
 
-// pendingExit reports opExit when a count just left an overflow pending.
-// Stretches start with none pending, so any entry was made by the op
-// that calls it.
-func (m *Machine) pendingExit() uint8 {
-	if len(m.pending) != 0 {
+// missExit reports opExit when a count just left an overflow pending or
+// a stall took the stretch past its cycle horizon. Stretches start with
+// none pending and within the horizon, so the op that calls it did either.
+func (m *Machine) missExit(st *tstate) uint8 {
+	if len(m.pending) != 0 || st.cycles > st.horizon {
 		return opExit
 	}
 	return opDone
@@ -720,7 +728,7 @@ func (m *Machine) icMiss(pc uint64, st *tstate) uint8 {
 	m.stats.ICMisses++
 	st.cycles += uint64(m.Cfg.ICMissStall)
 	m.count(hwc.EvICMiss, 1, pc, 0, false)
-	return m.pendingExit()
+	return m.missExit(st)
 }
 
 // icProbeSlow is the fetch probe's fallback when the probe site's way
@@ -838,7 +846,7 @@ func (m *Machine) execMem(t *tinstr, st *tstate) uint8 {
 			m.stats.DTLBMisses++
 			st.cycles += tlb.MissPenaltyCycles
 			m.count(hwc.EvDTLBMiss, 1, t.pc, addr, true)
-			r |= m.pendingExit()
+			r |= m.missExit(st)
 		}
 		t.way = uint64(uint32(m.DTLB.LastIdx()))
 	}
@@ -885,7 +893,7 @@ func (m *Machine) execMem(t *tinstr, st *tstate) uint8 {
 		binary.LittleEndian.PutUint64(m.Mem.Page(addr)[addr&mem.HostPageMask:], uint64(*t.rd))
 	default: // prefetch
 		if !d.HitMRU(addr, false) && !d.WayHit(int(t.aux>>siteDWayShift), addr, false) {
-			r |= m.prefetchFill(t, addr)
+			r |= m.prefetchFill(t, addr, st)
 		}
 	}
 	return r
@@ -932,7 +940,7 @@ func (m *Machine) loadMiss(t *tinstr, addr uint64, st *tstate) uint8 {
 		m.count(hwc.EvECStall, uint64(stall), t.pc, addr, true)
 		st.cycles += uint64(stall)
 	}
-	return m.pendingExit()
+	return m.missExit(st)
 }
 
 // storeMiss mirrors Hierarchy.Store the same way: write-through
@@ -968,12 +976,12 @@ func (m *Machine) storeMiss(t *tinstr, addr uint64, st *tstate) uint8 {
 		m.count(hwc.EvECStall, uint64(stall), t.pc, addr, true)
 		st.cycles += uint64(stall)
 	}
-	return m.pendingExit()
+	return m.missExit(st)
 }
 
 // prefetchFill mirrors Hierarchy.Prefetch: fills both levels, never
 // stalls, counts an E$ reference on a D$ miss and nothing else.
-func (m *Machine) prefetchFill(t *tinstr, addr uint64) uint8 {
+func (m *Machine) prefetchFill(t *tinstr, addr uint64, st *tstate) uint8 {
 	h := m.Hier
 	hit, _ := h.D.AccessFull(addr, false, true)
 	t.aux = t.aux&^siteDWayMask | uint64(uint32(h.D.LastWay()))<<siteDWayShift
@@ -986,7 +994,7 @@ func (m *Machine) prefetchFill(t *tinstr, addr uint64) uint8 {
 		h.E.AccessFull(addr, false, true)
 		t.aux = t.aux&^siteEWayMask | uint64(uint32(h.E.LastWay()))<<siteEWayShift&siteEWayMask
 	}
-	return m.pendingExit()
+	return m.missExit(st)
 }
 
 // translateBlock compiles the superblock entered at instruction index
@@ -1055,7 +1063,6 @@ func (m *Machine) translateBlock(idx int) *tblock {
 				b.code = append(b.code, ti)
 			}
 			b.static += uint64(d.Cost)
-			b.wc += m.worstCost(d, probe != probeNone)
 
 			ds := &m.dec[i+1]
 			dpc := pc + isa.InstrBytes
@@ -1083,24 +1090,6 @@ func (m *Machine) translateBlock(idx int) *tblock {
 	return b
 }
 
-// worstCost bounds the cycles a non-syscall instruction d can retire: its
-// base cost, an I$ miss when it probes, and for a memory access a DTLB
-// miss plus every cache stall at once. The bound is deliberately loose
-// (no access takes every stall); it only trims how far a stretch reaches
-// toward a cycle horizon. A block's wc is the sum over its instructions,
-// and fit rescans the same sum for a prefix.
-func (m *Machine) worstCost(d *isa.Decoded, probe bool) uint64 {
-	c := uint64(d.Cost)
-	if probe {
-		c += uint64(m.Cfg.ICMissStall)
-	}
-	if d.Class.IsMem() {
-		costs := m.Cfg.Costs
-		c += tlb.MissPenaltyCycles + uint64(costs.EHitStall+costs.MemStall+costs.StoreMissStall+costs.WritebackStall)
-	}
-	return c
-}
-
 // emitInstr appends the ops for one non-CTI instruction and adds it to
 // the block's sums: a probe+op for trap-capable classes (the probe must
 // follow the bail predicates), an op carrying the probe in its spare op2
@@ -1108,7 +1097,6 @@ func (m *Machine) worstCost(d *isa.Decoded, probe bool) uint64 {
 // emit no op to carry one).
 func (m *Machine) emitInstr(b *tblock, d *isa.Decoded, pc uint64, probe uint8) {
 	b.static += uint64(d.Cost)
-	b.wc += m.worstCost(d, probe != probeNone)
 	line := pc >> m.icLineShift
 	flags := probe << opProbeShift
 	if d.Flags&isa.DFlagImm == 0 {
