@@ -313,15 +313,15 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 	exp.Meta.ECacheLine = cfg.ECache.LineBytes
 	exp.Meta.Label = opts.Label
 
-	// With a spool directory, counter events stream to v2 shard files
-	// as they are delivered instead of accumulating in exp.HWC. The
-	// provisional header (meta marked "in progress" + program object)
-	// goes in first: from that moment a crash anywhere mid-run leaves a
-	// directory experiment.Recover can turn back into an analyzable
-	// experiment.
+	// With a spool directory, counter events and provenance records
+	// stream to shard files as they are delivered instead of
+	// accumulating in exp.HWC and exp.Prov. The provisional header (meta
+	// marked "in progress" + program object) goes in first: from that
+	// moment a crash anywhere mid-run leaves a directory
+	// experiment.Recover can turn back into an analyzable experiment.
 	fsys := faultfs.Or(opts.FS)
-	var spool [2]*experiment.ShardWriter
-	var provSpool *experiment.ProvWriter
+	var spool [2]*experiment.ShardWriter[experiment.HWCEvent]
+	var provSpool *experiment.ShardWriter[machine.ProvRecord]
 	var spoolErr error
 	if opts.SpoolDir != "" {
 		if err := exp.WriteProvisional(fsys, opts.SpoolDir); err != nil {
@@ -331,22 +331,18 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 			if cs.Event == hwc.EvNone {
 				continue
 			}
-			w, err := experiment.NewShardWriterFS(fsys,
-				filepath.Join(opts.SpoolDir, experiment.ShardFileName(pic)), pic)
-			if err != nil {
+			path := filepath.Join(opts.SpoolDir, experiment.ShardFileName(pic))
+			if spool[pic], err = experiment.NewShardWriterFS(fsys, path, pic); err != nil {
 				return nil, err
 			}
-			w.SetShardEvents(opts.SpoolShardEvents)
-			spool[pic] = w
+			spool[pic].SetShardEvents(opts.SpoolShardEvents)
 		}
 		if opts.Provenance {
-			w, err := experiment.NewProvWriterFS(fsys,
-				filepath.Join(opts.SpoolDir, experiment.ProvFileName))
-			if err != nil {
+			path := filepath.Join(opts.SpoolDir, experiment.ProvFileName)
+			if provSpool, err = experiment.NewProvWriterFS(fsys, path); err != nil {
 				return nil, err
 			}
-			w.SetShardEvents(opts.SpoolShardEvents)
-			provSpool = w
+			provSpool.SetShardEvents(opts.SpoolShardEvents)
 		}
 	}
 
@@ -422,31 +418,16 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 
 	// Close the spool writers on every exit path — including
 	// cancellation — so the partial tail shard reaches disk and the
-	// experiment keeps every event delivered before the cut.
+	// experiment keeps every record delivered before the cut.
 	for pic, w := range spool {
-		if w == nil {
-			continue
-		}
 		path := filepath.Join(opts.SpoolDir, experiment.ShardFileName(pic))
-		if err := w.Close(); err != nil && spoolErr == nil {
+		if err := closeSpool(fsys, exp, w, path); err != nil && spoolErr == nil {
 			spoolErr = err
 		}
-		if w.Count() == 0 {
-			fsys.Remove(path)
-			continue
-		}
-		exp.AdoptShards(pic, path, w.Shards())
 	}
-	if provSpool != nil {
-		path := filepath.Join(opts.SpoolDir, experiment.ProvFileName)
-		if err := provSpool.Close(); err != nil && spoolErr == nil {
-			spoolErr = err
-		}
-		if provSpool.Count() == 0 {
-			fsys.Remove(path)
-		} else {
-			exp.AdoptProvShards(path, provSpool.Shards())
-		}
+	provPath := filepath.Join(opts.SpoolDir, experiment.ProvFileName)
+	if err := closeSpool(fsys, exp, provSpool, provPath); err != nil && spoolErr == nil {
+		spoolErr = err
 	}
 	if spoolErr != nil && runErr == nil {
 		runErr = fmt.Errorf("collect: spooling events: %w", spoolErr)
@@ -458,6 +439,22 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 	}
 	exp.Meta.ExitStatus = "ok"
 	return res, nil
+}
+
+// closeSpool closes spool writer w, whose file is path, and has exp
+// adopt the file, or removes it when the stream recorded nothing. A nil
+// w is a stream that was not spooled.
+func closeSpool[T any](fsys faultfs.FS, exp *experiment.Experiment, w *experiment.ShardWriter[T], path string) error {
+	if w == nil {
+		return nil
+	}
+	err := w.Close()
+	if w.Count() == 0 {
+		fsys.Remove(path)
+	} else {
+		exp.AdoptShards(path, w.Shards())
+	}
+	return err
 }
 
 // Backtrack performs the apropos backtracking search: starting from the

@@ -10,11 +10,14 @@
 // PC from apropos backtracking, and the recovered effective address are
 // recorded.
 //
-// Counter events are stored as sharded files (hwc0.ev2/hwc1.ev2, see
-// shard.go) so events stream to disk as collected and analysis can read
-// disjoint shards in parallel. This is format version 2; version 1, one
-// monolithic gob blob per PIC, is no longer read, and Load and Open ask
-// for such an experiment to be re-collected.
+// Counter events and allocation-site provenance records are stored as
+// sharded streams (hwc0.ev2/hwc1.ev2 and prov.pv2, see shard.go) so
+// records reach disk as collected and analysis can read disjoint shards
+// in parallel. One stream implementation serves all three files: the
+// same writer, header scanner, save path, manifest entry and salvage
+// routine. This is format version 2; version 1, one monolithic gob blob
+// per PIC, is no longer read, and Load and Open ask for such an
+// experiment to be re-collected.
 package experiment
 
 import (
@@ -105,11 +108,11 @@ type Meta struct {
 }
 
 // Experiment is an experiment, in memory. Eagerly loaded (or freshly
-// collected) experiments hold every counter event in HWC; experiments
-// opened for streaming (Open, format v2) leave HWC empty and read
-// shards from disk on demand. Either way, Shards/ReadShard/Events/
-// EventCount present the same sharded view, so the analyzer does not
-// care which path produced the experiment.
+// collected) experiments hold every record in HWC and Prov; experiments
+// opened for streaming (Open) leave them empty and read shards from
+// disk on demand. Either way, Shards/ReadShard/EventCount and
+// ProvRecords/ProvCount present the same sharded view, so the analyzer
+// does not care which path produced the experiment.
 type Experiment struct {
 	Meta   Meta
 	Clock  []ClockEvent
@@ -118,20 +121,28 @@ type Experiment struct {
 	Prov   []machine.ProvRecord // allocation-site provenance (empty unless collected)
 	Prog   *asm.Program
 
-	// Sharded event-stream backing. hwcPath[pic] is non-empty when the
-	// PIC's events live in a v2 shard file rather than in HWC;
-	// hwcShards is the shard index (real offsets for file-backed PICs,
-	// synthetic descriptors otherwise).
-	hwcPath   [NumPICs]string
-	hwcShards [NumPICs][]Shard
-	hwcCount  [NumPICs]int
-	hwcOwned  [NumPICs]bool // true for spooled files Save may rename away
+	hwc  [NumPICs]stream // backing of HWC[pic]
+	prov stream          // backing of Prov
+}
 
-	// Provenance shard backing, the prov.pv2 analogue of the above.
-	provPath   string
-	provShards []Shard
-	provCount  int
-	provOwned  bool
+// stream is the backing of one shard stream. A file-backed stream
+// (path non-empty) keeps its records in a shard file and shards is the
+// file's index; otherwise the records live in the experiment's slice
+// and shards caches synthetic descriptors of it.
+type stream struct {
+	path   string
+	shards []Shard
+	count  int  // records in the file
+	owned  bool // a spooled file Save may rename away
+}
+
+// fileStream backs a stream with the shard file at path.
+func fileStream(path string, shards []Shard) stream {
+	n := 0
+	for _, sh := range shards {
+		n += sh.Count
+	}
+	return stream{path: path, shards: shards, count: n}
 }
 
 // Interval returns the overflow interval for the counter on PIC pic.
@@ -146,24 +157,9 @@ const (
 	logFile    = "log.txt"
 	metaFile   = "meta.gob"
 	clockFile  = "clock.gob"
-	hwcEv2_0   = "hwc0.ev2" // sharded counter events, PIC 0
-	hwcEv2_1   = "hwc1.ev2" // sharded counter events, PIC 1
 	allocsFile = "allocs.gob"
 	progFile   = "program.obj"
 )
-
-// hwcV2Name returns the v2 shard file name for a PIC.
-func hwcV2Name(pic int) string {
-	if pic == 0 {
-		return hwcEv2_0
-	}
-	return hwcEv2_1
-}
-
-// ShardFileName returns the name of the v2 shard file for a PIC inside
-// an experiment directory ("hwc0.ev2"/"hwc1.ev2") — for collectors that
-// spool events straight into the output directory.
-func ShardFileName(pic int) string { return hwcV2Name(pic) }
 
 // writeFileAtomic writes dir/name via a same-directory temp file and a
 // rename, so a crash at any point leaves either the old complete file or
@@ -229,80 +225,70 @@ func readGob(dir, name string, v any) (err error) {
 }
 
 // AdoptShards attaches a spooled shard file (written by a ShardWriter
-// during collection) as the backing store for one PIC. The experiment
-// keeps HWC[pic] empty; Save will move or copy the file into the
-// experiment directory.
-func (e *Experiment) AdoptShards(pic int, path string, shards []Shard) {
-	e.hwcPath[pic] = path
-	e.hwcShards[pic] = shards
-	e.hwcOwned[pic] = true
-	n := 0
-	for _, sh := range shards {
-		n += sh.Count
+// during collection) as the backing store of the stream its shards
+// belong to, as their PIC label says: a PIC's counter events or the
+// provenance records. The experiment keeps that stream's slice (HWC[pic]
+// or Prov) empty; Save will move or copy the file into the experiment
+// directory. An empty table adopts nothing.
+func (e *Experiment) AdoptShards(path string, shards []Shard) {
+	if len(shards) == 0 {
+		return
 	}
-	e.hwcCount[pic] = n
+	st := e.stream(shards[0].PIC)
+	*st = fileStream(path, shards)
+	st.owned = true
 }
 
-// AdoptProvShards attaches a spooled provenance shard file (written by a
-// ProvWriter during collection) as the experiment's provenance backing.
-// The experiment keeps Prov empty; Save will move or copy the file into
-// the experiment directory.
-func (e *Experiment) AdoptProvShards(path string, shards []Shard) {
-	e.provPath = path
-	e.provShards = shards
-	e.provOwned = true
-	n := 0
-	for _, sh := range shards {
-		n += sh.Count
+// stream returns the backing of the stream whose shards carry the PIC
+// label pic.
+func (e *Experiment) stream(pic int) *stream {
+	if pic == provPIC {
+		return &e.prov
 	}
-	e.provCount = n
+	return &e.hwc[pic]
+}
+
+// shardTable returns a stream's shard table: the file's index for a
+// file-backed stream, fixed-size synthetic slices of recs otherwise.
+func shardTable[T any](st *stream, k shardKind[T], recs []T) []Shard {
+	if st.path == "" && st.shards == nil && len(recs) > 0 {
+		st.shards = syntheticShards(k, recs)
+	}
+	return st.shards
+}
+
+// readShard returns shard i of a stream. A file-backed read opens the
+// file and decodes just that shard (safe from concurrent workers: every
+// call uses its own file handle); an in-memory read returns a subslice
+// of recs, which callers must not modify.
+func readShard[T any](st *stream, k shardKind[T], recs []T, i int) ([]T, error) {
+	shards := shardTable(st, k, recs)
+	if i < 0 || i >= len(shards) {
+		return nil, fmt.Errorf("experiment: ReadShard: shard %d/%d out of range", i, len(shards))
+	}
+	if st.path == "" {
+		lo := i * DefaultShardEvents
+		hi := lo + shards[i].Count
+		return recs[lo:hi:hi], nil
+	}
+	return readShardFile[T](st.path, shards[i])
 }
 
 // ProvCount returns the number of provenance records recorded, without
 // decoding file-backed streams. Zero means provenance was not collected.
 func (e *Experiment) ProvCount() int {
-	if e.provPath != "" {
-		return e.provCount
+	if e.prov.path != "" {
+		return e.prov.count
 	}
 	return len(e.Prov)
-}
-
-// ProvShards returns the provenance shard table: real file-backed shards
-// for streamed experiments, synthetic fixed-size slices of Prov
-// otherwise.
-func (e *Experiment) ProvShards() []Shard {
-	if e.provPath != "" {
-		return e.provShards
-	}
-	if e.provShards == nil && len(e.Prov) > 0 {
-		e.provShards = syntheticProvShards(e.Prov)
-	}
-	return e.provShards
-}
-
-// ReadProvShard returns one provenance shard's records. Like ReadShard,
-// file-backed reads use their own file handle (safe from concurrent
-// workers) and in-memory reads return a subslice callers must not
-// modify.
-func (e *Experiment) ReadProvShard(i int) ([]machine.ProvRecord, error) {
-	shards := e.ProvShards()
-	if i < 0 || i >= len(shards) {
-		return nil, fmt.Errorf("experiment: ReadProvShard: shard %d/%d out of range", i, len(shards))
-	}
-	if e.provPath == "" {
-		lo := i * DefaultShardEvents
-		hi := lo + shards[i].Count
-		return e.Prov[lo:hi:hi], nil
-	}
-	return readProvShardFile(e.provPath, shards[i])
 }
 
 // ProvRecords streams every provenance record to fn in collection order
 // without materializing file-backed streams. fn returning an error stops
 // the iteration and ProvRecords returns that error.
 func (e *Experiment) ProvRecords(fn func(machine.ProvRecord) error) error {
-	for i := range e.ProvShards() {
-		recs, err := e.ReadProvShard(i)
+	for i := range shardTable(&e.prov, provKind, e.Prov) {
+		recs, err := readShard(&e.prov, provKind, e.Prov, i)
 		if err != nil {
 			return err
 		}
@@ -321,8 +307,8 @@ func (e *Experiment) EventCount(pic int) int {
 	if pic < 0 || pic >= NumPICs {
 		return 0
 	}
-	if e.hwcPath[pic] != "" {
-		return e.hwcCount[pic]
+	if e.hwc[pic].path != "" {
+		return e.hwc[pic].count
 	}
 	return len(e.HWC[pic])
 }
@@ -334,63 +320,25 @@ func (e *Experiment) Shards(pic int) []Shard {
 	if pic < 0 || pic >= NumPICs {
 		return nil
 	}
-	if e.hwcPath[pic] != "" {
-		return e.hwcShards[pic]
-	}
-	if e.hwcShards[pic] == nil && len(e.HWC[pic]) > 0 {
-		e.hwcShards[pic] = syntheticShards(pic, e.HWC[pic])
-	}
-	return e.hwcShards[pic]
+	return shardTable(&e.hwc[pic], hwcKinds[pic], e.HWC[pic])
 }
 
-// ReadShard returns one shard's events. For file-backed experiments it
-// opens the shard file and decodes just that shard (safe to call from
-// concurrent workers: every call uses its own file handle); for
-// in-memory experiments it returns a subslice of HWC, which callers
-// must not modify. Events from file-backed shards are validated the
-// same way Load validates eager streams.
+// ReadShard returns one shard of a PIC's events (see readShard). Events
+// from file-backed shards are validated the same way Load validates
+// eager streams.
 func (e *Experiment) ReadShard(pic, i int) ([]HWCEvent, error) {
 	if pic < 0 || pic >= NumPICs {
 		return nil, fmt.Errorf("experiment: ReadShard: PIC %d out of range", pic)
 	}
-	shards := e.Shards(pic)
-	if i < 0 || i >= len(shards) {
-		return nil, fmt.Errorf("experiment: ReadShard: shard %d/%d out of range", i, len(shards))
-	}
-	if e.hwcPath[pic] == "" {
-		lo := i * DefaultShardEvents
-		hi := lo + shards[i].Count
-		return e.HWC[pic][lo:hi:hi], nil
-	}
-	evs, err := readShardFile(e.hwcPath[pic], shards[i])
-	if err != nil {
-		return nil, err
+	st := &e.hwc[pic]
+	evs, err := readShard(st, hwcKinds[pic], e.HWC[pic], i)
+	if err != nil || st.path == "" {
+		return evs, err
 	}
 	if err := validateEvents(pic, evs, e.Meta.Counters); err != nil {
-		return nil, fmt.Errorf("%s: shard %d: %w", e.hwcPath[pic], i, err)
+		return nil, fmt.Errorf("%s: shard %d: %w", st.path, i, err)
 	}
 	return evs, nil
-}
-
-// Events streams every counter event of the experiment to fn, PIC 0
-// first then PIC 1, each in collection order, without materializing
-// file-backed streams in memory. fn returning an error stops the
-// iteration and Events returns that error.
-func (e *Experiment) Events(fn func(HWCEvent) error) error {
-	for pic := 0; pic < NumPICs; pic++ {
-		for i := range e.Shards(pic) {
-			evs, err := e.ReadShard(pic, i)
-			if err != nil {
-				return err
-			}
-			for _, ev := range evs {
-				if err := fn(ev); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // validateEvents checks decoded counter events against the experiment
@@ -415,8 +363,8 @@ func validateEvents(pic int, evs []HWCEvent, counters []CounterSpec) error {
 }
 
 // Save writes the experiment as a directory in the current format,
-// stamping the format version into the meta header. Counter events held
-// in memory are sharded into v2 files; file-backed events (spooled
+// stamping the format version into the meta header. Records held in
+// memory are written as shard files; file-backed streams (spooled
 // during collection or opened from another directory) are moved or
 // copied without re-encoding.
 //
@@ -444,25 +392,19 @@ func (e *Experiment) SaveFS(fsys faultfs.FS, dir string) error {
 	if err := writeGob(fsys, dir, clockFile, e.Clock); err != nil {
 		return err
 	}
-	for pic := 0; pic < NumPICs; pic++ {
-		if err := e.saveHWC(fsys, dir, pic); err != nil {
+	for pic := range e.hwc {
+		if err := saveStream(fsys, dir, &e.hwc[pic], hwcKinds[pic], e.HWC[pic]); err != nil {
 			return err
 		}
 	}
 	if err := writeGob(fsys, dir, allocsFile, e.Allocs); err != nil {
 		return err
 	}
-	if err := e.saveProv(fsys, dir); err != nil {
+	if err := saveStream(fsys, dir, &e.prov, provKind, e.Prov); err != nil {
 		return err
 	}
-	if e.Prog != nil {
-		var buf bytes.Buffer
-		if err := e.Prog.Save(&buf); err != nil {
-			return err
-		}
-		if err := writeFileAtomic(fsys, dir, progFile, buf.Bytes()); err != nil {
-			return err
-		}
+	if err := e.writeProgram(fsys, dir); err != nil {
+		return err
 	}
 	if err := e.writeLog(fsys, dir); err != nil {
 		return err
@@ -473,79 +415,52 @@ func (e *Experiment) SaveFS(fsys faultfs.FS, dir string) error {
 	return fsys.SyncDir(dir)
 }
 
-// saveHWC writes one PIC's events into dir as a v2 shard file. A
-// file-backed PIC whose shard file already lives at the target path is
-// left in place; one spooled elsewhere is renamed in (falling back to a
-// copy across filesystems). PICs with no events write no file.
-func (e *Experiment) saveHWC(fsys faultfs.FS, dir string, pic int) error {
-	target := filepath.Join(dir, hwcV2Name(pic))
-	if src := e.hwcPath[pic]; src != "" {
-		if same, err := samePath(src, target); err == nil && same {
-			return nil
+// saveStream writes one stream into dir. A file-backed stream whose
+// file already lives at the target path is left in place; one spooled
+// elsewhere is renamed in (falling back to a copy across filesystems);
+// one opened from another experiment directory is copied, since its
+// source must stay readable. An in-memory stream is written shard by
+// shard. An empty stream writes no file and removes a stale one from a
+// previous Save into the same directory, so an experiment without
+// provenance has no prov.pv2 and a PIC without events no hwc file.
+func saveStream[T any](fsys faultfs.FS, dir string, st *stream, k shardKind[T], recs []T) error {
+	target := filepath.Join(dir, k.name)
+	if st.path == "" {
+		if len(recs) > 0 {
+			return writeShards(fsys, target, k, recs)
 		}
-		if e.hwcOwned[pic] {
-			// Spooled by the collector: move into place (copy across
-			// filesystems).
-			if err := fsys.Rename(src, target); err != nil {
-				if err := copyFile(fsys, src, target); err != nil {
-					return fmt.Errorf("experiment: moving spooled shards: %w", err)
-				}
-				fsys.Remove(src)
-			}
-		} else {
-			// Opened from another experiment directory: the source must
-			// stay readable, so copy.
-			if err := copyFile(fsys, src, target); err != nil {
-				return fmt.Errorf("experiment: copying shards: %w", err)
-			}
-		}
-		e.hwcPath[pic] = target
-		return nil
-	}
-	// No stale file from a previous Save into the same directory.
-	if len(e.HWC[pic]) == 0 {
 		if _, err := os.Stat(target); err == nil {
 			fsys.Remove(target)
 		}
 		return nil
 	}
-	_, err := writeShardFile(fsys, target, pic, e.HWC[pic])
-	return err
+	if same, err := samePath(st.path, target); err == nil && same {
+		return nil
+	}
+	if st.owned {
+		if err := fsys.Rename(st.path, target); err != nil {
+			if err := copyFile(fsys, st.path, target); err != nil {
+				return fmt.Errorf("experiment: moving spooled %s: %w", k.name, err)
+			}
+			fsys.Remove(st.path)
+		}
+	} else if err := copyFile(fsys, st.path, target); err != nil {
+		return fmt.Errorf("experiment: copying %s: %w", k.name, err)
+	}
+	st.path = target
+	return nil
 }
 
-// saveProv writes the provenance stream into dir as prov.pv2, with the
-// same leave/move/copy semantics as saveHWC. Experiments without
-// provenance write no file (and remove a stale one), so a
-// provenance-free Save is byte-identical to the pre-provenance format.
-func (e *Experiment) saveProv(fsys faultfs.FS, dir string) error {
-	target := filepath.Join(dir, ProvFileName)
-	if src := e.provPath; src != "" {
-		if same, err := samePath(src, target); err == nil && same {
-			return nil
-		}
-		if e.provOwned {
-			if err := fsys.Rename(src, target); err != nil {
-				if err := copyFile(fsys, src, target); err != nil {
-					return fmt.Errorf("experiment: moving spooled prov shards: %w", err)
-				}
-				fsys.Remove(src)
-			}
-		} else {
-			if err := copyFile(fsys, src, target); err != nil {
-				return fmt.Errorf("experiment: copying prov shards: %w", err)
-			}
-		}
-		e.provPath = target
+// writeProgram writes the profiled program object, if there is one.
+func (e *Experiment) writeProgram(fsys faultfs.FS, dir string) error {
+	if e.Prog == nil {
 		return nil
 	}
-	if len(e.Prov) == 0 {
-		if _, err := os.Stat(target); err == nil {
-			fsys.Remove(target)
-		}
-		return nil
+	var buf bytes.Buffer
+	if err := e.Prog.Save(&buf); err != nil {
+		return err
 	}
-	_, err := writeProvFile(fsys, target, e.Prov)
-	return err
+	return writeFileAtomic(fsys, dir, progFile, buf.Bytes())
 }
 
 // samePath reports whether two paths name the same file.
@@ -612,59 +527,62 @@ func (e *Experiment) writeLog(fsys faultfs.FS, dir string) error {
 }
 
 // Load reads an experiment directory written by Save, eagerly: every
-// counter event is decoded into HWC. It never panics: a
-// missing directory, a missing or truncated data file, a format version
-// mismatch, an internally inconsistent meta header, or event records
-// inconsistent with the armed counters all produce a descriptive error.
+// counter event is decoded into HWC and every provenance record into
+// Prov. It never panics: a missing directory, a missing or truncated
+// data file, a format version mismatch, an internally inconsistent meta
+// header, or event records inconsistent with the armed counters all
+// produce a descriptive error.
 func Load(dir string) (*Experiment, error) {
 	e, err := open(dir)
 	if err != nil {
 		return nil, err
 	}
-	// Materialize file-backed streams.
-	for pic := 0; pic < NumPICs; pic++ {
-		if e.hwcPath[pic] == "" {
-			continue
+	for pic := range e.hwc {
+		check := func(evs []HWCEvent) error { return validateEvents(pic, evs, e.Meta.Counters) }
+		if e.HWC[pic], err = materialize(&e.hwc[pic], e.HWC[pic], check); err != nil {
+			return nil, fmt.Errorf("experiment %s: %w", dir, err)
 		}
-		evs := make([]HWCEvent, 0, e.hwcCount[pic])
-		for i := range e.hwcShards[pic] {
-			sevs, err := e.ReadShard(pic, i)
-			if err != nil {
-				return nil, fmt.Errorf("experiment %s: %w", dir, err)
-			}
-			evs = append(evs, sevs...)
-		}
-		e.HWC[pic] = evs
-		e.hwcPath[pic] = ""
-		e.hwcShards[pic] = nil
-		e.hwcCount[pic] = 0
 	}
-	if e.provPath != "" {
-		recs := make([]machine.ProvRecord, 0, e.provCount)
-		for i := range e.provShards {
-			srecs, err := e.ReadProvShard(i)
-			if err != nil {
-				return nil, fmt.Errorf("experiment %s: %w", dir, err)
-			}
-			recs = append(recs, srecs...)
-		}
-		e.Prov = recs
-		e.provPath = ""
-		e.provShards = nil
-		e.provCount = 0
+	if e.Prov, err = materialize(&e.prov, e.Prov, nil); err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", dir, err)
 	}
 	return e, nil
 }
 
+// materialize decodes every shard of a file-backed stream, each
+// accepted by check (nil accepts all), and detaches the file; an
+// in-memory stream returns recs unchanged.
+func materialize[T any](st *stream, recs []T, check func([]T) error) ([]T, error) {
+	if st.path == "" {
+		return recs, nil
+	}
+	out := make([]T, 0, st.count)
+	for _, sh := range st.shards {
+		r, err := readShardFile[T](st.path, sh)
+		if err != nil {
+			return nil, err
+		}
+		if check != nil {
+			if err := check(r); err != nil {
+				return nil, fmt.Errorf("%s: shard %d: %w", st.path, sh.Index, err)
+			}
+		}
+		out = append(out, r...)
+	}
+	*st = stream{}
+	return out, nil
+}
+
 // Open reads an experiment directory for streaming: the header, clock
 // data, allocations, and program load eagerly (they are small), but the
-// counter events stay on disk, exposed through Shards/ReadShard/Events.
-// Like Load, Open never panics on corrupted input.
+// counter events and provenance records stay on disk, exposed through
+// Shards/ReadShard and ProvRecords. Like Load, Open never panics on
+// corrupted input.
 func Open(dir string) (*Experiment, error) {
 	return open(dir)
 }
 
-// open is the shared loader: everything but file-backed event payloads.
+// open is the shared loader: everything but file-backed shard payloads.
 func open(dir string) (*Experiment, error) {
 	st, err := os.Stat(dir)
 	if err != nil {
@@ -687,41 +605,18 @@ func open(dir string) (*Experiment, error) {
 	if err := readGob(dir, clockFile, &e.Clock); err != nil {
 		return nil, fmt.Errorf("experiment %s: reading clock data: %w", dir, err)
 	}
-	// Scan the shard indexes; payloads stay on disk.
-	for pic := 0; pic < NumPICs; pic++ {
-		path := filepath.Join(dir, hwcV2Name(pic))
-		shards, err := readShardIndex(path, pic)
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: reading hwc%d shards: %w", dir, pic, err)
+	// Index the shard files; payloads stay on disk.
+	for pic := range e.hwc {
+		if e.hwc[pic], err = openStream(dir, hwcKinds[pic].shardFile); err != nil {
+			return nil, fmt.Errorf("experiment %s: %w", dir, err)
 		}
-		if len(shards) == 0 {
-			continue
-		}
-		if e.Meta.Counters[pic].Event == hwc.EvNone {
+		if e.hwc[pic].count > 0 && e.Meta.Counters[pic].Event == hwc.EvNone {
 			return nil, fmt.Errorf("experiment %s: %s: events recorded for PIC %d, but no counter is armed on it",
-				dir, hwcV2Name(pic), pic)
+				dir, ShardFileName(pic), pic)
 		}
-		n := 0
-		for _, sh := range shards {
-			n += sh.Count
-		}
-		e.hwcPath[pic] = path
-		e.hwcShards[pic] = shards
-		e.hwcCount[pic] = n
 	}
-	provPath := filepath.Join(dir, ProvFileName)
-	provShards, err := readProvIndex(provPath)
-	if err != nil {
-		return nil, fmt.Errorf("experiment %s: reading prov shards: %w", dir, err)
-	}
-	if len(provShards) > 0 {
-		n := 0
-		for _, sh := range provShards {
-			n += sh.Count
-		}
-		e.provPath = provPath
-		e.provShards = provShards
-		e.provCount = n
+	if e.prov, err = openStream(dir, provKind.shardFile); err != nil {
+		return nil, fmt.Errorf("experiment %s: %w", dir, err)
 	}
 	// Attach the manifest's shard checksums when one exists, so
 	// every shard read is integrity-checked. Pre-manifest and
@@ -738,6 +633,23 @@ func open(dir string) (*Experiment, error) {
 	}
 	e.Prog = prog
 	return e, nil
+}
+
+// openStream indexes the shard file sf in dir. A missing file, or one
+// with no shards, is an empty in-memory stream; any damage fails.
+func openStream(dir string, sf shardFile) (stream, error) {
+	path := filepath.Join(dir, sf.name)
+	shards, loss, err := scanShards(path, sf)
+	if err != nil {
+		return stream{}, fmt.Errorf("reading %s: %w", sf.name, err)
+	}
+	if loss != nil {
+		return stream{}, fmt.Errorf("reading %s: corrupted %w", sf.name, loss)
+	}
+	if len(shards) == 0 {
+		return stream{}, nil
+	}
+	return fileStream(path, shards), nil
 }
 
 // ReadMeta reads just the meta header of an experiment directory,

@@ -141,9 +141,12 @@ func TestLoadCorrupted(t *testing.T) {
 }
 
 // TestLoadNeverPanics corrupts every data file in turn — truncation,
-// garbage, and emptiness — and checks Load returns an error naming the
-// bad file instead of panicking. A *missing* shard file is the one legal
-// absence: it means the armed counter recorded zero overflows.
+// garbage, emptiness, and a file that exists but cannot be opened — and
+// checks Load returns an error naming the bad file instead of
+// panicking. A *missing* shard file is the one legal absence: it means
+// the armed counter recorded zero overflows. An unreadable file is an
+// I/O failure, not damage: neither Load nor BuildManifest may report it
+// as a corrupted file.
 func TestLoadNeverPanics(t *testing.T) {
 	files := []string{"meta.gob", "clock.gob", "hwc0.ev2", "allocs.gob", "program.obj"}
 	corruptions := map[string]func(path string) error{
@@ -161,6 +164,13 @@ func TestLoadNeverPanics(t *testing.T) {
 			return os.WriteFile(path, nil, 0o644)
 		},
 		"missing": os.Remove,
+		// A symlink to itself: present, but every open fails.
+		"unreadable": func(path string) error {
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+			return os.Symlink(filepath.Base(path), path)
+		},
 	}
 	for how, corrupt := range corruptions {
 		for _, name := range files {
@@ -186,6 +196,14 @@ func TestLoadNeverPanics(t *testing.T) {
 				}
 				if err == nil {
 					t.Errorf("Load of %s %s experiment succeeded", how, name)
+				}
+				if how == "unreadable" {
+					_, merr := BuildManifest(dir)
+					for _, err := range []error{err, merr} {
+						if err != nil && strings.Contains(err.Error(), "corrupted") {
+							t.Errorf("unreadable %s reported as damage: %v", name, err)
+						}
+					}
 				}
 			})
 		}
@@ -332,11 +350,15 @@ func TestOpenStreaming(t *testing.T) {
 		t.Errorf("shard 1 MinCycles = %d", shards[1].MinCycles)
 	}
 	var got []HWCEvent
-	if err := op.Events(func(ev HWCEvent) error { got = append(got, ev); return nil }); err != nil {
-		t.Fatal(err)
+	for i := range shards {
+		evs, err := op.ReadShard(0, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, evs...)
 	}
 	if len(got) != len(e.HWC[0]) {
-		t.Fatalf("Events streamed %d, want %d", len(got), len(e.HWC[0]))
+		t.Fatalf("shards streamed %d events, want %d", len(got), len(e.HWC[0]))
 	}
 	for i := range got {
 		if !reflect.DeepEqual(got[i], e.HWC[0][i]) {

@@ -59,14 +59,14 @@ func FuzzExperimentLoad(f *testing.F) {
 	if err := fuzzSample().Save(v2); err != nil {
 		f.Fatal(err)
 	}
-	v2files := []string{metaFile, clockFile, hwcEv2_0, allocsFile, progFile, ProvFileName, ManifestName}
+	v2files := []string{metaFile, clockFile, ShardFileName(0), allocsFile, progFile, ProvFileName, ManifestName}
 	for _, name := range v2files {
 		if b, err := os.ReadFile(filepath.Join(v2, name)); err == nil {
 			f.Add(name, b[:len(b)/2])
 			f.Add(name, b)
 		}
 	}
-	f.Add(hwcEv2_0, []byte{0xff, 0x13, 0x01})
+	f.Add(ShardFileName(0), []byte{0xff, 0x13, 0x01})
 	f.Add(metaFile, []byte{})
 	// Manifest seeds that stress the checksum-verification path: valid
 	// JSON shape with wrong sums, and non-JSON garbage.
@@ -75,7 +75,7 @@ func FuzzExperimentLoad(f *testing.F) {
 
 	allNames := map[string]bool{
 		metaFile: true, clockFile: true, allocsFile: true, progFile: true,
-		hwcEv2_0: true, hwcEv2_1: true,
+		ShardFileName(0): true, ShardFileName(1): true,
 		ProvFileName: true, ManifestName: true,
 	}
 

@@ -3,12 +3,13 @@ package experiment
 // manifest.go implements the per-experiment integrity manifest. Save
 // writes manifest.json as the last file of an experiment directory — so
 // its presence certifies that every other file was completely written —
-// recording each data file's size and CRC32 and, for the sharded
-// counter-event files, each shard's event count, payload size, and
-// payload CRC32. Open attaches the shard checksums so every ReadShard
+// recording each data file's size and CRC32 and, for each shard stream
+// (hwc0.ev2, hwc1.ev2, prov.pv2), each shard's record count, payload
+// size, and payload CRC32. The shard files carry no checksums of their
+// own; these are the only ones. Open attaches them so every shard read
 // verifies its payload; Recover compares the damaged directory against
-// the manifest to salvage the longest validated shard prefix and report
-// exactly what was lost.
+// the manifest to salvage the longest validated prefix of each stream
+// and report exactly what was lost.
 
 import (
 	"encoding/json"
@@ -31,8 +32,8 @@ type FileSum struct {
 	CRC32 uint32 `json:"crc32"`
 }
 
-// ShardSum is one counter-event shard's manifest entry; the checksum
-// covers the shard's gob payload (not its binary header).
+// ShardSum is one shard's manifest entry; the checksum covers the
+// shard's gob payload (not its binary header).
 type ShardSum struct {
 	Count int    `json:"count"`
 	Bytes int64  `json:"bytes"`
@@ -51,12 +52,12 @@ type Manifest struct {
 }
 
 // manifestDataFiles are the experiment files the manifest covers, beyond
-// the sharded counter-event files (covered per shard). program.obj is
-// deliberately absent: gob encodes its debug-table maps in random
-// iteration order, so its bytes differ between two saves of the same
-// program and a checksum would make otherwise-identical experiment
-// directories diverge. Its integrity is enforced by the decode
-// validation every load performs instead.
+// the shard files (covered per shard). program.obj is deliberately
+// absent: gob encodes its debug-table maps in random iteration order, so
+// its bytes differ between two saves of the same program and a checksum
+// would make otherwise-identical experiment directories diverge. Its
+// integrity is enforced by the decode validation every load performs
+// instead.
 var manifestDataFiles = []string{logFile, metaFile, clockFile, allocsFile}
 
 // fileSum computes one file's manifest entry.
@@ -90,60 +91,55 @@ func BuildManifest(dir string) (*Manifest, error) {
 		}
 		m.Files[name] = sum
 	}
-	for pic := 0; pic < NumPICs; pic++ {
-		path := filepath.Join(dir, hwcV2Name(pic))
-		shards, err := readShardIndex(path, pic)
-		if err != nil {
+	for _, sf := range shardFiles {
+		if err := m.addStream(dir, sf); err != nil {
 			return nil, fmt.Errorf("experiment: manifest: %w", err)
 		}
-		if shards == nil {
-			continue
-		}
-		sum, err := fileSum(path)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: manifest: %s: %w", hwcV2Name(pic), err)
-		}
-		m.Files[hwcV2Name(pic)] = sum
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: manifest: %w", err)
-		}
-		for _, sh := range shards {
-			h := crc32.NewIEEE()
-			if _, err := io.Copy(h, io.NewSectionReader(f, sh.offset, sh.length)); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("experiment: manifest: %s shard %d: %w", hwcV2Name(pic), sh.Index, err)
-			}
-			m.Shards[pic] = append(m.Shards[pic], ShardSum{Count: sh.Count, Bytes: sh.length, CRC32: h.Sum32()})
-		}
-		f.Close()
-	}
-	provPath := filepath.Join(dir, ProvFileName)
-	provShards, err := readProvIndex(provPath)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: manifest: %w", err)
-	}
-	if len(provShards) > 0 {
-		sum, err := fileSum(provPath)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: manifest: %s: %w", ProvFileName, err)
-		}
-		m.Files[ProvFileName] = sum
-		f, err := os.Open(provPath)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: manifest: %w", err)
-		}
-		for _, sh := range provShards {
-			h := crc32.NewIEEE()
-			if _, err := io.Copy(h, io.NewSectionReader(f, sh.offset, sh.length)); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("experiment: manifest: %s shard %d: %w", ProvFileName, sh.Index, err)
-			}
-			m.Prov = append(m.Prov, ShardSum{Count: sh.Count, Bytes: sh.length, CRC32: h.Sum32()})
-		}
-		f.Close()
 	}
 	return m, nil
+}
+
+// sums returns the manifest's shard sums for the stream whose shards
+// carry the PIC label pic.
+func (m *Manifest) sums(pic int) *[]ShardSum {
+	if pic == provPIC {
+		return &m.Prov
+	}
+	return &m.Shards[pic]
+}
+
+// addStream certifies shard file sf: the whole file's sum and each
+// shard's count, payload size and payload CRC32. A missing or
+// shard-less file has no entry.
+func (m *Manifest) addStream(dir string, sf shardFile) error {
+	path := filepath.Join(dir, sf.name)
+	shards, loss, err := scanShards(path, sf)
+	if err != nil {
+		return err
+	}
+	if loss != nil {
+		return fmt.Errorf("corrupted %w", loss)
+	}
+	if len(shards) == 0 {
+		return nil
+	}
+	if m.Files[sf.name], err = fileSum(path); err != nil {
+		return fmt.Errorf("%s: %w", sf.name, err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sums := m.sums(sf.pic)
+	for _, sh := range shards {
+		h := crc32.NewIEEE()
+		if _, err := io.Copy(h, io.NewSectionReader(f, sh.offset, sh.length)); err != nil {
+			return fmt.Errorf("%s shard %d: %w", sf.name, sh.Index, err)
+		}
+		*sums = append(*sums, ShardSum{Count: sh.Count, Bytes: sh.length, CRC32: h.Sum32()})
+	}
+	return nil
 }
 
 // WriteManifest computes and atomically writes dir's manifest — the
@@ -179,24 +175,23 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 // attachManifest sets the payload checksum on every shard the manifest
-// covers, so ReadShard verifies payload integrity. Shards beyond the
+// covers, so shard reads verify payload integrity. Shards beyond the
 // manifest (or the whole experiment, when no manifest exists) stay
 // unverified rather than failing: the manifest hardens reads, it is not
 // required for them.
 func (e *Experiment) attachManifest(m *Manifest) {
-	for pic := 0; pic < NumPICs; pic++ {
-		sums := m.Shards[pic]
-		for i := range e.hwcShards[pic] {
-			if i < len(sums) && e.hwcShards[pic][i].length == sums[i].Bytes {
-				e.hwcShards[pic][i].crc = sums[i].CRC32
-				e.hwcShards[pic][i].hasCRC = true
-			}
-		}
+	for _, sf := range shardFiles {
+		e.stream(sf.pic).attach(*m.sums(sf.pic))
 	}
-	for i := range e.provShards {
-		if i < len(m.Prov) && e.provShards[i].length == m.Prov[i].Bytes {
-			e.provShards[i].crc = m.Prov[i].CRC32
-			e.provShards[i].hasCRC = true
+}
+
+// attach sets each shard's checksum from the sum at its index, when the
+// sum's payload size agrees.
+func (st *stream) attach(sums []ShardSum) {
+	for i := range st.shards {
+		if i < len(sums) && st.shards[i].length == sums[i].Bytes {
+			st.shards[i].crc = sums[i].CRC32
+			st.shards[i].hasCRC = true
 		}
 	}
 }

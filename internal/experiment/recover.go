@@ -6,10 +6,11 @@ package experiment
 // certifies completeness and carries per-shard checksums. Recover holds
 // the read side of that promise: given a directory left behind by a
 // crash (mid-collect, mid-Save, or mid-commit), it keeps the longest
-// prefix of counter-event shards that is structurally whole, decodable,
-// and checksum-clean, drops everything after the first damage, rewrites
-// the directory so Load succeeds, and reports exactly what was lost with
-// a typed error per loss.
+// prefix of each shard stream — both PICs' counter events and the
+// provenance records, through one salvage routine — that is
+// structurally whole, decodable, and checksum-clean, drops everything
+// after the first damage, rewrites the directory so Load succeeds, and
+// reports exactly what was lost with a typed error per loss.
 //
 // The floor for recovery is a readable meta header and program object:
 // without the armed-counter specs and the profiled program no report can
@@ -18,7 +19,6 @@ package experiment
 // stream — degrades gracefully.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"dsprof/internal/faultfs"
-	"dsprof/internal/machine"
 )
 
 // Typed recovery losses. Each Loss.Err in a RecoveryReport wraps one of
@@ -85,34 +84,10 @@ func (r *RecoveryReport) Summary() string {
 	}
 	var parts []string
 	for pic := 0; pic < NumPICs; pic++ {
-		if r.ShardsLost[pic] == 0 && r.EventsLost[pic] == 0 {
-			continue
-		}
-		switch {
-		case r.EventsLost[pic] >= 0:
-			parts = append(parts, fmt.Sprintf("pic%d lost %d shards (%d events)",
-				pic, r.ShardsLost[pic], r.EventsLost[pic]))
-		case r.ShardsLost[pic] >= 0:
-			parts = append(parts, fmt.Sprintf("pic%d lost %d shards (event count unknown)",
-				pic, r.ShardsLost[pic]))
-		default:
-			parts = append(parts, fmt.Sprintf("pic%d lost an unknown tail after shard %d",
-				pic, r.ShardsKept[pic]-1))
-		}
+		parts = appendLoss(parts, fmt.Sprintf("pic%d", pic), "event",
+			r.ShardsKept[pic], r.ShardsLost[pic], r.EventsLost[pic])
 	}
-	if r.ProvShardsLost != 0 || r.ProvLost != 0 {
-		switch {
-		case r.ProvLost >= 0:
-			parts = append(parts, fmt.Sprintf("provenance lost %d shards (%d records)",
-				r.ProvShardsLost, r.ProvLost))
-		case r.ProvShardsLost >= 0:
-			parts = append(parts, fmt.Sprintf("provenance lost %d shards (record count unknown)",
-				r.ProvShardsLost))
-		default:
-			parts = append(parts, fmt.Sprintf("provenance lost an unknown tail after shard %d",
-				r.ProvShardsKept-1))
-		}
-	}
+	parts = appendLoss(parts, "provenance", "record", r.ProvShardsKept, r.ProvShardsLost, r.ProvLost)
 	if r.ClockLost {
 		parts = append(parts, "clock data lost")
 	}
@@ -131,8 +106,25 @@ func (r *RecoveryReport) Summary() string {
 	return "recovered: " + strings.Join(parts, "; ")
 }
 
+// appendLoss appends one stream's loss note to parts, if it lost
+// anything; unit names its records ("event", "record").
+func appendLoss(parts []string, name, unit string, shardsKept, shardsLost, lost int) []string {
+	switch {
+	case shardsLost == 0 && lost == 0:
+		return parts
+	case lost >= 0:
+		return append(parts, fmt.Sprintf("%s lost %d shards (%d %ss)", name, shardsLost, lost, unit))
+	case shardsLost >= 0:
+		return append(parts, fmt.Sprintf("%s lost %d shards (%s count unknown)", name, shardsLost, unit))
+	}
+	return append(parts, fmt.Sprintf("%s lost an unknown tail after shard %d", name, shardsKept-1))
+}
+
+// addLoss records err as a loss in file; a nil err is no loss.
 func (r *RecoveryReport) addLoss(file string, err error) {
-	r.Losses = append(r.Losses, Loss{File: file, Err: err})
+	if err != nil {
+		r.Losses = append(r.Losses, Loss{File: file, Err: err})
+	}
 }
 
 // ProvisionalExitStatus marks a meta header written before its run
@@ -158,16 +150,7 @@ func (e *Experiment) WriteProvisional(fsys faultfs.FS, dir string) error {
 	if err := writeGob(fsys, dir, metaFile, &meta); err != nil {
 		return err
 	}
-	if e.Prog != nil {
-		var buf bytes.Buffer
-		if err := e.Prog.Save(&buf); err != nil {
-			return err
-		}
-		if err := writeFileAtomic(fsys, dir, progFile, buf.Bytes()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.writeProgram(fsys, dir)
 }
 
 // Recover salvages dir in place: it validates every file against the
@@ -236,27 +219,18 @@ func RecoverFS(fsys faultfs.FS, dir string) (*RecoveryReport, error) {
 		rep.addLoss(ManifestName, err)
 	}
 
-	for pic := 0; pic < NumPICs; pic++ {
-		kept, shardsKept, lost, eventsLost, loss := recoverPIC(dir, pic, e.Meta, man)
-		if loss != nil {
-			rep.addLoss(hwcV2Name(pic), loss)
-		}
-		e.HWC[pic] = kept
-		rep.ShardsKept[pic] = shardsKept
-		rep.ShardsLost[pic] = lost
-		rep.EventsKept[pic] = len(kept)
-		rep.EventsLost[pic] = eventsLost
+	for pic := range e.HWC {
+		check := func(evs []HWCEvent) error { return validateEvents(pic, evs, e.Meta.Counters) }
+		var loss error
+		e.HWC[pic], rep.ShardsKept[pic], rep.ShardsLost[pic], rep.EventsLost[pic], loss =
+			salvage(dir, hwcKinds[pic], man, check)
+		rep.EventsKept[pic] = len(e.HWC[pic])
+		rep.addLoss(ShardFileName(pic), loss)
 	}
-
-	kept, shardsKept, lost, recsLost, loss := recoverProv(dir, man)
-	if loss != nil {
-		rep.addLoss(ProvFileName, loss)
-	}
-	e.Prov = kept
-	rep.ProvShardsKept = shardsKept
-	rep.ProvShardsLost = lost
-	rep.ProvKept = len(kept)
-	rep.ProvLost = recsLost
+	var loss error
+	e.Prov, rep.ProvShardsKept, rep.ProvShardsLost, rep.ProvLost, loss = salvage(dir, provKind, man, nil)
+	rep.ProvKept = len(e.Prov)
+	rep.addLoss(ProvFileName, loss)
 
 	if !dirty && !rep.Degraded() {
 		rep.Clean = true
@@ -274,33 +248,38 @@ func RecoverFS(fsys faultfs.FS, dir string) (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// recoverPIC salvages one PIC's event stream: the longest prefix of
-// shards that is structurally whole, checksum-clean against the
-// manifest (when one exists), gob-decodable, and consistent with the
-// armed counters. It returns the kept events, the number of shards and
-// events known lost (-1 when unknowable), and the typed loss that cut
+// salvage keeps the longest prefix of stream k's shards that is
+// structurally whole, checksum-clean against the manifest (when one
+// exists), gob-decodable, and accepted by check (nil accepts all). It
+// returns the kept records, the number of shards kept, the shards and
+// records known lost (-1 when unknowable), and the typed loss that cut
 // the prefix (nil if nothing was cut).
-func recoverPIC(dir string, pic int, meta Meta, man *Manifest) (kept []HWCEvent, shardsKept, shardsLost, eventsLost int, loss error) {
-	path := filepath.Join(dir, hwcV2Name(pic))
-	shards, structLoss := scanShardPrefix(path, pic)
+func salvage[T any](dir string, k shardKind[T], man *Manifest, check func([]T) error) (kept []T, shardsKept, shardsLost, recsLost int, loss error) {
+	path := filepath.Join(dir, k.name)
+	shards, loss, err := scanShards(path, k.shardFile)
+	if err != nil {
+		// An unreadable file keeps only the prefix scanned before the
+		// failed read.
+		loss = fmt.Errorf("%s: %w: %v", path, ErrTornShard, err)
+	}
 
 	// Checksum-validate the structural prefix against the manifest; the
 	// first mismatch cuts the prefix there.
 	var sums []ShardSum
 	if man != nil {
-		sums = man.Shards[pic]
+		sums = *man.sums(k.pic)
 		for i := range shards {
 			if i >= len(sums) {
 				// More shards on disk than the manifest certifies (a
 				// stale manifest from an interrupted re-Save): the
 				// uncertified tail cannot be trusted.
 				shards = shards[:i]
-				structLoss = fmt.Errorf("%s: shard %d: %w: shard not in manifest", path, i, ErrChecksumMismatch)
+				loss = fmt.Errorf("%s: shard %d: %w: shard not in manifest", path, i, ErrChecksumMismatch)
 				break
 			}
 			if shards[i].length != sums[i].Bytes || shards[i].Count != sums[i].Count {
 				shards = shards[:i]
-				structLoss = fmt.Errorf("%s: shard %d: %w: size/count disagree with manifest", path, i, ErrChecksumMismatch)
+				loss = fmt.Errorf("%s: shard %d: %w: size/count disagree with manifest", path, i, ErrChecksumMismatch)
 				break
 			}
 			shards[i].crc = sums[i].CRC32
@@ -308,100 +287,40 @@ func recoverPIC(dir string, pic int, meta Meta, man *Manifest) (kept []HWCEvent,
 		}
 		// A file cut exactly at a shard boundary scans clean but is
 		// still short of what the manifest certifies.
-		if structLoss == nil && len(shards) < len(sums) {
-			structLoss = fmt.Errorf("%s: %w: %d shards on disk, manifest certifies %d",
+		if loss == nil && len(shards) < len(sums) {
+			loss = fmt.Errorf("%s: %w: %d shards on disk, manifest certifies %d",
 				path, ErrTornShard, len(shards), len(sums))
 		}
 	}
 
-	// Decode the prefix; ReadShard-level verification (checksum, gob,
-	// header/event count agreement) can still cut it further.
+	// Decode the prefix; read-level verification (checksum, gob,
+	// header/record count agreement) and check can still cut it further.
 	for i, sh := range shards {
-		evs, err := readShardFile(path, sh)
-		if err == nil {
-			err = validateEvents(pic, evs, meta.Counters)
+		recs, err := readShardFile[T](path, sh)
+		if err == nil && check != nil {
+			err = check(recs)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrChecksumMismatch) {
 				err = fmt.Errorf("%w: %v", ErrTornShard, err)
 			}
 			shards = shards[:i]
-			structLoss = err
-			break
-		}
-		kept = append(kept, evs...)
-	}
-
-	if structLoss == nil {
-		return kept, len(shards), 0, 0, nil
-	}
-	// Quantify the cut. With a manifest the exact event deficit is
-	// known; without one, the tail length is unknowable.
-	if sums != nil {
-		shardsLost = len(sums) - len(shards)
-		eventsLost = 0
-		for _, s := range sums[len(shards):] {
-			eventsLost += s.Count
-		}
-		return kept, len(shards), shardsLost, eventsLost, structLoss
-	}
-	return kept, len(shards), -1, -1, structLoss
-}
-
-// recoverProv salvages the provenance stream the same way recoverPIC
-// salvages a PIC's events: longest structurally whole prefix, cut at the
-// first manifest disagreement or decode failure, exact losses when the
-// manifest quantifies them.
-func recoverProv(dir string, man *Manifest) (kept []machine.ProvRecord, shardsKept, shardsLost, recsLost int, loss error) {
-	path := filepath.Join(dir, ProvFileName)
-	shards, structLoss := scanShardPrefixMagic(path, provMagic, provPIC)
-
-	var sums []ShardSum
-	if man != nil {
-		sums = man.Prov
-		for i := range shards {
-			if i >= len(sums) {
-				shards = shards[:i]
-				structLoss = fmt.Errorf("%s: shard %d: %w: shard not in manifest", path, i, ErrChecksumMismatch)
-				break
-			}
-			if shards[i].length != sums[i].Bytes || shards[i].Count != sums[i].Count {
-				shards = shards[:i]
-				structLoss = fmt.Errorf("%s: shard %d: %w: size/count disagree with manifest", path, i, ErrChecksumMismatch)
-				break
-			}
-			shards[i].crc = sums[i].CRC32
-			shards[i].hasCRC = true
-		}
-		if structLoss == nil && len(shards) < len(sums) {
-			structLoss = fmt.Errorf("%s: %w: %d shards on disk, manifest certifies %d",
-				path, ErrTornShard, len(shards), len(sums))
-		}
-	}
-
-	for i, sh := range shards {
-		recs, err := readProvShardFile(path, sh)
-		if err != nil {
-			if !errors.Is(err, ErrChecksumMismatch) {
-				err = fmt.Errorf("%w: %v", ErrTornShard, err)
-			}
-			shards = shards[:i]
-			structLoss = err
+			loss = err
 			break
 		}
 		kept = append(kept, recs...)
 	}
 
-	if structLoss == nil {
+	if loss == nil {
 		return kept, len(shards), 0, 0, nil
 	}
-	if sums != nil {
-		shardsLost = len(sums) - len(shards)
-		recsLost = 0
-		for _, s := range sums[len(shards):] {
-			recsLost += s.Count
-		}
-		return kept, len(shards), shardsLost, recsLost, structLoss
+	// Quantify the cut. With a manifest the exact record deficit is
+	// known; without one, the tail length is unknowable.
+	if sums == nil {
+		return kept, len(shards), -1, -1, loss
 	}
-	return kept, len(shards), -1, -1, structLoss
+	for _, s := range sums[len(shards):] {
+		recsLost += s.Count
+	}
+	return kept, len(shards), len(sums) - len(shards), recsLost, loss
 }

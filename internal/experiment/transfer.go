@@ -287,24 +287,23 @@ func VerifyDir(dir string) error {
 			return fmt.Errorf("experiment %s: verify: %s not covered by manifest", dir, name)
 		}
 	}
-	for pic := 0; pic < NumPICs; pic++ {
-		if len(got.Shards[pic]) != len(m.Shards[pic]) {
-			return fmt.Errorf("experiment %s: verify: pic%d has %d shards, manifest says %d",
-				dir, pic, len(got.Shards[pic]), len(m.Shards[pic]))
-		}
-		for i, want := range m.Shards[pic] {
-			if got.Shards[pic][i] != want {
-				return fmt.Errorf("experiment %s: verify: pic%d shard %d does not match manifest", dir, pic, i)
-			}
+	for _, sf := range shardFiles {
+		if err := verifySums(sf.name, *got.sums(sf.pic), *m.sums(sf.pic)); err != nil {
+			return fmt.Errorf("experiment %s: verify: %w", dir, err)
 		}
 	}
-	if len(got.Prov) != len(m.Prov) {
-		return fmt.Errorf("experiment %s: verify: %d prov shards, manifest says %d",
-			dir, len(got.Prov), len(m.Prov))
+	return nil
+}
+
+// verifySums checks one shard file's sums as found on disk against the
+// manifest's.
+func verifySums(name string, got, want []ShardSum) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s has %d shards, manifest says %d", name, len(got), len(want))
 	}
-	for i, want := range m.Prov {
-		if got.Prov[i] != want {
-			return fmt.Errorf("experiment %s: verify: prov shard %d does not match manifest", dir, i)
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("%s shard %d does not match manifest", name, i)
 		}
 	}
 	return nil

@@ -90,35 +90,6 @@ func (c Class) IsMem() bool { return c >= ClLdB && c <= ClPrefetch }
 // one whose successor takes effect after the architectural delay slot.
 func (c Class) IsCTI() bool { return c == ClBranch || c == ClCall || c == ClJmpl }
 
-// Successor and trap metadata about a predecoded instruction, for
-// forming superblocks.
-
-// StaticTarget returns the statically resolved control-transfer target
-// (an absolute PC, precomputed by Predecode) of a branch or call, and
-// whether one exists. Jmpl targets are register-relative, never static.
-func (d *Decoded) StaticTarget() (uint64, bool) {
-	if d.Class == ClBranch || d.Class == ClCall {
-		return uint64(d.Imm), true
-	}
-	return 0, false
-}
-
-// Unconditional reports whether the instruction always transfers control
-// when it is a CTI (ba, call, jmpl).
-func (d *Decoded) Unconditional() bool {
-	return d.Class == ClCall || d.Class == ClJmpl || (d.Class == ClBranch && d.Op == Ba)
-}
-
-// CanTrap reports whether executing the instruction can raise an
-// architectural trap: divide/remainder (divide by zero) and the memory
-// classes except prefetch (alignment, segmentation). Syscalls can trap
-// too but are excluded from translation units outright, and a bad fetch
-// PC traps before dispatch.
-func (d *Decoded) CanTrap() bool {
-	return d.Class == ClDiv || d.Class == ClRem ||
-		(d.Class.IsMem() && d.Class != ClPrefetch)
-}
-
 // EndsBlock reports whether a straight-line translation unit cannot
 // extend past this instruction's class: control transfers close a block
 // (after their delay slot), and syscalls/halts never enter one.
