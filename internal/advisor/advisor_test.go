@@ -3,6 +3,9 @@ package advisor_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +40,45 @@ func adviseSmoke(t *testing.T) *core.AdviseRun {
 		t.Fatal(smokeErr)
 	}
 	return smokeRun
+}
+
+// checkCountGrading requires every re-run's After, the combined run's
+// included, to equal the full reduction's total for the metric: the
+// event-count grade is the number analyzer.New would report.
+func checkCountGrading(t *testing.T, v *advisor.Validation) {
+	t.Helper()
+	runs := v.Results
+	if v.Combined != nil {
+		runs = append(slices.Clip(runs), *v.Combined)
+	}
+	for _, r := range runs {
+		if r.Exp == nil {
+			continue
+		}
+		a, err := analyzer.New(r.Exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := a.Total().Events[v.Metric]; r.After != want {
+			t.Errorf("%s re-run graded %d overflows, full reduction %d", r.Exp.Meta.Label, r.After, want)
+		}
+	}
+}
+
+// checkReportHash requires the loop report, rendered at 10 rows, to
+// hash to a pinned literal: its bytes must not depend on how the
+// validation re-runs were scheduled or on GOMAXPROCS. Never regenerate
+// the literal to make a test pass.
+func checkReportHash(t *testing.T, run *core.AdviseRun, want string) {
+	t.Helper()
+	var rep bytes.Buffer
+	if err := run.WriteReport(&rep, 10); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(rep.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("loop report sha256 %s, want %s:\n%s", got, want, rep.Bytes())
+	}
 }
 
 func TestAdvisorMCFClosedLoop(t *testing.T) {
@@ -80,6 +122,7 @@ func TestAdvisorMCFClosedLoop(t *testing.T) {
 	if !c.OutputOK || c.After > c.Before {
 		t.Errorf("combined run = %+v, want identical output and non-regressed overflows", c)
 	}
+	checkCountGrading(t, run.Valid)
 
 	// The full report renders with verdict lines and the before/after
 	// function comparison.
@@ -121,4 +164,7 @@ func TestAdvisorReportByteIdentical(t *testing.T) {
 	if _, err := run.Baseline.RenderJSON("advice", analyzer.RenderOpts{TopN: 10}); err != nil {
 		t.Errorf("advice JSON rendering: %v", err)
 	}
+	// The whole loop report, validation verdicts and comparison
+	// included, is pinned across commits.
+	checkReportHash(t, run, "edad2a980c1526cc7077aec80e2f6bbc974ae32c750ae146ab2cb7076fbcac4e")
 }

@@ -111,6 +111,8 @@ func TestNBodyRediscovery(t *testing.T) {
 	if c == nil || c.Verdict != advisor.VerdictAccepted || !c.OutputOK || c.After >= c.Before {
 		t.Fatalf("combined override run = %+v, want accepted, output-identical, improved", c)
 	}
+	checkCountGrading(t, run.Valid)
+	checkReportHash(t, run, "bb1a812fedf7e7a549bbf8d20c815306a7f115be3b2c9401f69d548e16469ddc")
 
 	// The rendered report names the rediscovered actions.
 	var rep bytes.Buffer

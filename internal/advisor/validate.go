@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/cc"
@@ -42,8 +45,11 @@ type RecResult struct {
 	DeltaPct float64        `json:"deltaPct"` // 100*(after-before)/before
 	Err      string         `json:"err,omitempty"`
 
-	Exp      *experiment.Experiment `json:"-"`
-	Analysis *analyzer.Analyzer     `json:"-"`
+	Exp *experiment.Experiment `json:"-"`
+	// Analysis is the re-run's reduction, set on the combined result
+	// only: CompareReport renders it against the baseline. The
+	// per-recommendation results are graded from event counts alone.
+	Analysis *analyzer.Analyzer `json:"-"`
 }
 
 // Validation is the outcome of validating an advice set.
@@ -58,6 +64,16 @@ type Validation struct {
 // accepted override combined. A recommendation is accepted when the
 // transformed program produces identical output and does not regress
 // the advice metric.
+//
+// The re-runs are independent, so they run on up to GOMAXPROCS
+// goroutines; Results are in recommendation order whatever the
+// schedule. The combined run is speculated: the combination of every
+// recommendation is queued after the re-runs, skipped if a rejection is
+// known when a worker reaches it, and kept only if every verdict comes
+// back accepted, since the combined set then equals it. Otherwise the
+// accepted overrides run once more after the others. Each run is a
+// deterministic function of its overrides, so the result never depends
+// on timing.
 func Validate(ctx context.Context, target Target, adv *Advice, base *analyzer.Analyzer) (*Validation, error) {
 	metric, err := hwc.ParseEvent(adv.Metric)
 	if err != nil {
@@ -67,28 +83,92 @@ func Validate(ctx context.Context, target Target, adv *Advice, base *analyzer.An
 	if baseExp == nil {
 		return nil, fmt.Errorf("advisor: baseline did not collect %v", metric)
 	}
-	before := base.Total().Events[metric]
-	v := &Validation{Metric: metric}
-
-	for _, rec := range adv.Recs {
-		ov := rec.Override()
-		if ov == nil {
-			continue
-		}
-		r := runOverride(ctx, target, baseExp, metric, before,
-			map[string]*cc.LayoutOverride{rec.Struct: ov}, rec.Kind+":"+rec.Struct)
-		r.Rec = rec
-		v.Results = append(v.Results, r)
+	before := metricEvents(baseExp, metric)
+	run := func(ctx context.Context, ovs map[string]*cc.LayoutOverride, label string, analyze bool) RecResult {
+		return runOverride(ctx, target, baseExp, metric, before, ovs, label, analyze)
 	}
+	v := validate(ctx, adv.Recs, runtime.GOMAXPROCS(0), run)
+	v.Metric = metric
+	return v, nil
+}
 
-	combined := make(map[string]*cc.LayoutOverride)
-	for i := range v.Results {
-		r := &v.Results[i]
-		if r.Verdict != VerdictAccepted {
-			continue
+// runFunc measures one override set; analyze asks for the re-run's full
+// reduction as well as its grade.
+type runFunc func(ctx context.Context, ovs map[string]*cc.LayoutOverride, label string, analyze bool) RecResult
+
+// validate schedules Validate's runs on min(workers, runs) goroutines.
+// Jobs are handed out in order: the recommendations, then the
+// speculative combined run, which a worker skips once any rejection is
+// known.
+func validate(ctx context.Context, recs []Recommendation, workers int, run runFunc) *Validation {
+	v := &Validation{}
+	var todo []Recommendation
+	for _, rec := range recs {
+		if rec.Override() != nil {
+			todo = append(todo, rec)
 		}
-		ov := r.Rec.Override()
-		if prev := combined[r.Rec.Struct]; prev != nil {
+	}
+	if len(todo) == 0 {
+		return v
+	}
+	v.Results = make([]RecResult, len(todo))
+	var (
+		next     atomic.Int64
+		rejected atomic.Bool
+		guess    *RecResult
+		wg       sync.WaitGroup
+	)
+	work := func() {
+		defer wg.Done()
+		for {
+			i := int(next.Add(1)) - 1
+			switch {
+			case i < len(todo):
+				rec := todo[i]
+				r := run(ctx, map[string]*cc.LayoutOverride{rec.Struct: rec.Override()}, rec.Kind+":"+rec.Struct, false)
+				r.Rec = rec
+				v.Results[i] = r
+				if r.Verdict != VerdictAccepted {
+					rejected.Store(true)
+				}
+			case i == len(todo) && !rejected.Load():
+				r := run(ctx, combine(todo), "combined", true)
+				guess = &r
+			default:
+				return
+			}
+		}
+	}
+	n := min(workers, len(todo)+1)
+	wg.Add(n)
+	for range n {
+		go work()
+	}
+	wg.Wait()
+
+	var accepted []Recommendation
+	for _, r := range v.Results {
+		if r.Verdict == VerdictAccepted {
+			accepted = append(accepted, r.Rec)
+		}
+	}
+	switch {
+	case len(accepted) == len(todo) && guess != nil:
+		v.Combined = guess
+	case len(accepted) > 0:
+		r := run(ctx, combine(accepted), "combined", true)
+		v.Combined = &r
+	}
+	return v
+}
+
+// combine merges the overrides of ranked recommendations into one set.
+func combine(recs []Recommendation) map[string]*cc.LayoutOverride {
+	combined := make(map[string]*cc.LayoutOverride)
+	for i := range recs {
+		rec := &recs[i]
+		ov := rec.Override()
+		if prev := combined[rec.Struct]; prev != nil {
 			// Results are ranked, so the first (higher-scored) override
 			// keeps its field; a pad composes with a reorder.
 			if prev.Order == nil {
@@ -99,14 +179,9 @@ func Validate(ctx context.Context, target Target, adv *Advice, base *analyzer.An
 			}
 			continue
 		}
-		cp := *ov
-		combined[r.Rec.Struct] = &cp
+		combined[rec.Struct] = ov
 	}
-	if len(combined) > 0 {
-		r := runOverride(ctx, target, baseExp, metric, before, combined, "combined")
-		v.Combined = &r
-	}
-	return v, nil
+	return combined
 }
 
 // expWithMetric finds the baseline experiment whose counter
@@ -122,11 +197,25 @@ func expWithMetric(a *analyzer.Analyzer, ev hwc.Event) *experiment.Experiment {
 	return nil
 }
 
+// metricEvents is an experiment's event count for ev, summed over the
+// PICs armed with it: the number analyzer.New(e).Total().Events[ev]
+// reports, without the reduction.
+func metricEvents(e *experiment.Experiment, ev hwc.Event) uint64 {
+	var n uint64
+	for pic, cs := range e.Meta.Counters {
+		if cs.Event == ev {
+			n += uint64(e.EventCount(pic))
+		}
+	}
+	return n
+}
+
 // runOverride compiles the target with the overrides, re-profiles it
 // under the baseline experiment's collect configuration, and grades the
-// result.
+// result from its event count for the metric. With analyze it also
+// reduces the re-run into the result's Analysis.
 func runOverride(ctx context.Context, target Target, baseExp *experiment.Experiment,
-	metric hwc.Event, before uint64, ovs map[string]*cc.LayoutOverride, label string) RecResult {
+	metric hwc.Event, before uint64, ovs map[string]*cc.LayoutOverride, label string, analyze bool) RecResult {
 	r := RecResult{Verdict: VerdictRejected, Before: before}
 	opts := target.Options
 	opts.LayoutOverrides = ovs
@@ -148,14 +237,14 @@ func runOverride(ctx context.Context, target Target, baseExp *experiment.Experim
 		r.Err = err.Error()
 		return r
 	}
-	after, err := analyzer.New(res.Exp)
-	if err != nil {
-		r.Err = err.Error()
-		return r
+	if analyze {
+		if r.Analysis, err = analyzer.New(res.Exp); err != nil {
+			r.Err = err.Error()
+			return r
+		}
 	}
 	r.Exp = res.Exp
-	r.Analysis = after
-	r.After = after.Total().Events[metric]
+	r.After = metricEvents(res.Exp, metric)
 	if before > 0 {
 		r.DeltaPct = 100 * (float64(r.After) - float64(before)) / float64(before)
 	}

@@ -12,6 +12,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/asm"
@@ -57,7 +58,9 @@ func Analyze(exps ...*experiment.Experiment) (*analyzer.Analyzer, error) {
 // ProfilePaperStyle performs the paper's full two-experiment collection
 // (§3.1): experiment A with clock profiling plus E$ stall cycles and E$
 // read misses, experiment B with E$ references and DTLB misses, all with
-// apropos backtracking — then merges them in one analyzer.
+// apropos backtracking — then merges them in one analyzer. The two runs
+// are independent and execute concurrently; A's error is reported
+// first.
 //
 // The overflow intervals are chosen from the run length budget: pass the
 // expected total cycles (0 picks conservative defaults).
@@ -65,18 +68,28 @@ func ProfilePaperStyle(prog *asm.Program, input []int64, cfg *machine.Config, in
 	iv := intervals.WithDefaults()
 	ctx := context.Background()
 	specA, specB := iv.Specs()
+	var (
+		resB *collect.Result
+		errB error
+		wg   sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resB, errB = CollectRun(ctx, prog, specB, collect.Options{Machine: cfg, Input: input})
+	}()
 	resA, err := CollectRun(ctx, prog, specA, collect.Options{
 		ClockProfile:        true,
 		ClockIntervalCycles: iv.ClockTick,
 		Machine:             cfg,
 		Input:               input,
 	})
+	wg.Wait()
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("experiment A: %w", err)
 	}
-	resB, err := CollectRun(ctx, prog, specB, collect.Options{Machine: cfg, Input: input})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiment B: %w", err)
+	if errB != nil {
+		return nil, nil, nil, fmt.Errorf("experiment B: %w", errB)
 	}
 	a, err := Analyze(resA.Exp, resB.Exp)
 	if err != nil {

@@ -3,9 +3,14 @@ package profd
 // advise.go runs the closed advisor loop as a service job: a baseline
 // two-experiment MCF collection through the ordinary scheduler (so the
 // runs share the worker pool, builder memo and store with every other
-// job), then the data-layout advisor and its validation re-runs. The
-// validation experiments are stored like any other, so the before/after
-// profiles stay queryable through the report API afterwards.
+// job), then the data-layout advisor and its validation re-runs. Both
+// baseline jobs are submitted before either is waited on, so a
+// multi-worker scheduler runs them together. The validation re-runs
+// execute in advisor.Validate, called from the adviser's goroutine, on
+// up to GOMAXPROCS goroutines of its own, outside the scheduler's
+// worker bound. The validation experiments are stored like any other,
+// so the before/after profiles stay queryable through the report API
+// afterwards.
 
 import (
 	"bytes"
@@ -229,12 +234,16 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 	specA.ClockIntervalCycles = iv.ClockTick
 	specA.Counters, specB.Counters = iv.Specs()
 
-	var ids []string
+	var jobs []*Job
 	for _, s := range []JobSpec{specA, specB} {
 		job, err := ad.sched.Submit(s)
 		if err != nil {
 			return fmt.Errorf("profd: submitting baseline: %w", err)
 		}
+		jobs = append(jobs, job)
+	}
+	var ids []string
+	for _, job := range jobs {
 		st, err := job.Wait(ctx)
 		if err != nil {
 			return fmt.Errorf("profd: baseline run: %w", err)
