@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -16,31 +17,51 @@ import (
 	"dsprof/internal/machine"
 )
 
-// adviseSmoke runs the full closed loop once per test binary: MCF at
-// smoke scale on the scaled machine, advice, and validation re-runs.
-// The run is deterministic, so both tests share one loop.
-var smokeOnce sync.Once
-var smokeRun *core.AdviseRun
-var smokeErr error
-
-func adviseSmoke(t *testing.T) *core.AdviseRun {
-	t.Helper()
-	smokeOnce.Do(func() {
-		cfg := machine.ScaledConfig()
-		smokeRun, smokeErr = core.Advise(context.Background(), core.AdviseParams{
-			Study: core.StudyParams{
-				Workload: core.MCF, Size: 120, Seed: 20030717,
-				HWCProf: true, Machine: &cfg,
-			},
-			Intervals: core.MCF.Intervals(120),
-			Advisor:   advisor.Options{MaxRecs: 10},
-		})
-	})
-	if smokeErr != nil {
-		t.Fatal(smokeErr)
-	}
-	return smokeRun
+// loopMemo builds a deterministic closed loop once per GOMAXPROCS value
+// and hands every test at that value the same run. Keying by GOMAXPROCS
+// makes `go test -cpu 1,2` build and check the loop at each value:
+// validation runs its re-runs on up to GOMAXPROCS goroutines, and the
+// pinned report hashes must hold for every schedule.
+type loopMemo struct {
+	build func() (*core.AdviseRun, error)
+	mu    sync.Mutex
+	loops map[int]func() (*core.AdviseRun, error)
 }
+
+func (l *loopMemo) run(t *testing.T) *core.AdviseRun {
+	t.Helper()
+	procs := runtime.GOMAXPROCS(0)
+	l.mu.Lock()
+	if l.loops == nil {
+		l.loops = make(map[int]func() (*core.AdviseRun, error))
+	}
+	loop, ok := l.loops[procs]
+	if !ok {
+		loop = sync.OnceValues(l.build)
+		l.loops[procs] = loop
+	}
+	l.mu.Unlock()
+	run, err := loop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// smokeLoop is the full closed loop at smoke scale: MCF at 120 trips on
+// the scaled machine, advice, and validation re-runs. Both MCF loop
+// tests share it.
+var smokeLoop = loopMemo{build: func() (*core.AdviseRun, error) {
+	cfg := machine.ScaledConfig()
+	return core.Advise(context.Background(), core.AdviseParams{
+		Study: core.StudyParams{
+			Workload: core.MCF, Size: 120, Seed: 20030717,
+			HWCProf: true, Machine: &cfg,
+		},
+		Intervals: core.MCF.Intervals(120),
+		Advisor:   advisor.Options{MaxRecs: 10},
+	})
+}}
 
 // checkCountGrading requires every re-run's After, the combined run's
 // included, to equal the full reduction's total for the metric: the
@@ -82,7 +103,7 @@ func checkReportHash(t *testing.T, run *core.AdviseRun, want string) {
 }
 
 func TestAdvisorMCFClosedLoop(t *testing.T) {
-	run := adviseSmoke(t)
+	run := smokeLoop.run(t)
 
 	// The advisor must propose transformations of the paper's hot
 	// structs autonomously: a reorder or hot/cold split of arc or node.
@@ -139,7 +160,7 @@ func TestAdvisorMCFClosedLoop(t *testing.T) {
 }
 
 func TestAdvisorReportByteIdentical(t *testing.T) {
-	run := adviseSmoke(t)
+	run := smokeLoop.run(t)
 	// The advice report goes through the analyzer's report registry, so
 	// every consumer (dsadvise, erprint, profd HTTP) renders these exact
 	// bytes. Two renderings over the same analyzer must be identical.

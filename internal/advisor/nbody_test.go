@@ -6,35 +6,23 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"dsprof/internal/advisor"
 	"dsprof/internal/core"
 )
 
-// The n-body rediscovery loop runs once per test binary at the bundled
-// scale (the same configuration `dsadvise loop -workload nbody` uses),
-// deterministically.
-var nbodyOnce sync.Once
-var nbodyRun *core.AdviseRun
-var nbodyErr error
-
-func nbodyAdvise(t *testing.T) *core.AdviseRun {
-	t.Helper()
-	nbodyOnce.Do(func() {
-		p := core.DefaultStudy(core.NBody)
-		nbodyRun, nbodyErr = core.Advise(context.Background(), core.AdviseParams{
-			Study:     p,
-			Intervals: core.NBody.Intervals(p.Size),
-			Advisor:   advisor.Options{MaxRecs: 10},
-		})
+// The n-body rediscovery loop runs once per GOMAXPROCS value at the
+// bundled scale (the same configuration `dsadvise loop -workload nbody`
+// uses), deterministically.
+var nbodyLoop = loopMemo{build: func() (*core.AdviseRun, error) {
+	p := core.DefaultStudy(core.NBody)
+	return core.Advise(context.Background(), core.AdviseParams{
+		Study:     p,
+		Intervals: core.NBody.Intervals(p.Size),
+		Advisor:   advisor.Options{MaxRecs: 10},
 	})
-	if nbodyErr != nil {
-		t.Fatal(nbodyErr)
-	}
-	return nbodyRun
-}
+}}
 
 // TestNBodyRediscovery is the §3.3 generalization test: on the bundled
 // n-body graph, the advisor must rediscover — from counter data alone —
@@ -42,7 +30,7 @@ func nbodyAdvise(t *testing.T) *core.AdviseRun {
 // recommendation must survive the full closed loop: recompile with the
 // override, identical output, and a measured E$-stall improvement.
 func TestNBodyRediscovery(t *testing.T) {
-	run := nbodyAdvise(t)
+	run := nbodyLoop.run(t)
 
 	// Exact advice assertions: a split of struct lnode whose hot set is
 	// precisely the force-loop random-read members, and a reorder that

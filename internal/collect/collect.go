@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"dsprof/internal/asm"
+	"dsprof/internal/chunk"
 	"dsprof/internal/experiment"
 	"dsprof/internal/faultfs"
 	"dsprof/internal/hwc"
@@ -98,8 +99,10 @@ type Truth struct {
 type Result struct {
 	Exp     *experiment.Experiment
 	Machine *machine.Machine
-	// Truth holds ground truth for HWC events, parallel to
-	// Exp.HWC[pic] (Truth[pic][i] matches Exp.HWC[pic][i]).
+	// Truth holds ground truth for HWC events, per PIC in delivery order:
+	// Truth[pic][i] is the i-th event delivered on pic, which is
+	// Exp.HWC[pic][i] in memory and the i-th record of the PIC's shard
+	// stream when the run spooled (Exp.HWC is then empty).
 	Truth [2][]Truth
 }
 
@@ -152,18 +155,6 @@ func ParseCounterSpec(spec string) ([]experiment.CounterSpec, error) {
 		return nil, fmt.Errorf("collect: at most two counters (two counter registers), got %d", len(out))
 	}
 	return out, nil
-}
-
-// copyStack snapshots a machine-owned scratch callstack for retention in
-// the experiment. A nil stack stays nil (empty and absent callstacks
-// encode identically).
-func copyStack(cs []uint64) []uint64 {
-	if cs == nil {
-		return nil
-	}
-	out := make([]uint64, len(cs))
-	copy(out, cs)
-	return out
 }
 
 // Run executes prog under profiling and returns the experiment.
@@ -230,10 +221,41 @@ func runMachine(ctx context.Context, m *machine.Machine, singleStep bool) error 
 	return nil
 }
 
+// records accumulates one run's in-memory records in chunked storage
+// (package chunk), copying each delivered callstack out of the machine's
+// scratch buffer into a chunked arena: a delivery appends without
+// allocating, and no record is copied again until materialise builds the
+// experiment's slices once, at exact length.
+type records struct {
+	hwc    [2]chunk.List[experiment.HWCEvent]
+	truth  [2]chunk.List[Truth]
+	clock  chunk.List[experiment.ClockEvent]
+	prov   chunk.List[machine.ProvRecord]
+	stacks chunk.List[uint64] // callstacks of hwc and clock records
+	// spoolStacks[pic] holds the callstacks of the records spool[pic] has
+	// buffered but not yet encoded; it is reset at every shard flush, so
+	// spooled callstacks do not accumulate.
+	spoolStacks [2]chunk.List[uint64]
+}
+
+// materialise moves the records into exp and res, leaving r empty so a
+// retained machine (and the hooks that reach r) keeps no second copy.
+// Streams that recorded nothing stay nil.
+func (r *records) materialise(exp *experiment.Experiment, res *Result) {
+	for pic := range r.hwc {
+		exp.HWC[pic] = r.hwc[pic].Slice()
+		res.Truth[pic] = r.truth[pic].Slice()
+	}
+	exp.Clock = r.clock.Slice()
+	exp.Prov = r.prov.Slice()
+}
+
 // RunContext is Run with job-level cancellation: the profiled run stops
 // (with the context's error) as soon as ctx is cancelled or times out.
 // The returned Result still carries the partial experiment so callers
-// can inspect it, but nothing is written to disk here.
+// can inspect it. Unless opts.SpoolDir is set, nothing is written to
+// disk here; with it, the shard files and the provisional header hold
+// every record delivered before the run ended.
 func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, error) {
 	cfg := machine.DefaultConfig()
 	if opts.Machine != nil {
@@ -259,6 +281,7 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 	exp := &experiment.Experiment{Prog: prog}
 	res := &Result{Exp: exp, Machine: m}
 	exp.Meta.Counters = make([]experiment.CounterSpec, 2)
+	var recs records
 
 	var cmd strings.Builder
 	cmd.WriteString("collect")
@@ -272,9 +295,9 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 		exp.Meta.ClockProfiling = true
 		exp.Meta.ClockTickCycles = tick
 		m.OnClockTick = func(ct *machine.ClockTick) {
-			// ct.Callstack is scratch, valid only during the callback.
-			exp.Clock = append(exp.Clock, experiment.ClockEvent{
-				PC: ct.PC, Callstack: copyStack(ct.Callstack), Cycles: ct.Cycles,
+			// ct is the machine's record, valid only during the callback.
+			recs.clock.Add(experiment.ClockEvent{
+				PC: ct.PC, Callstack: recs.stacks.Copy(ct.Callstack), Cycles: ct.Cycles,
 			})
 		}
 		cmd.WriteString(" -p on")
@@ -354,15 +377,21 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 				}
 				return
 			}
-			exp.Prov = append(exp.Prov, rec)
+			recs.prov.Add(rec)
 		}
 	}
 
+	// e is the machine's record, valid only during the callback.
 	m.OnOverflow = func(e *machine.OverflowEvent) {
+		w := spool[e.PIC]
+		stacks := &recs.stacks
+		if w != nil {
+			stacks = &recs.spoolStacks[e.PIC]
+		}
 		rec := experiment.HWCEvent{
 			PIC:         e.PIC,
 			DeliveredPC: e.DeliveredPC,
-			Callstack:   copyStack(e.Callstack),
+			Callstack:   stacks.Copy(e.Callstack),
 			Cycles:      e.Cycles,
 		}
 		if backtrack[e.PIC] {
@@ -374,14 +403,21 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 				}
 			}
 		}
-		if w := spool[e.PIC]; w != nil {
-			if err := w.Append(rec); err != nil && spoolErr == nil {
+		if w != nil {
+			flushed := w.Count()
+			err := w.Append(rec)
+			if err != nil && spoolErr == nil {
 				spoolErr = err
 			}
+			if err != nil || w.Count() != flushed {
+				// The buffered records are encoded (or never will be): no
+				// one reads their callstacks again.
+				stacks.Reset()
+			}
 		} else {
-			exp.HWC[e.PIC] = append(exp.HWC[e.PIC], rec)
+			recs.hwc[e.PIC].Add(rec)
 		}
-		res.Truth[e.PIC] = append(res.Truth[e.PIC], Truth{
+		recs.truth[e.PIC].Add(Truth{
 			PIC: e.PIC, TruePC: e.TruePC, TrueEA: e.TrueEA, HasEA: e.TrueHasEA,
 		})
 	}
@@ -412,6 +448,7 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 	// Records for blocks still live at halt (or at the cancellation cut)
 	// drain into the provenance sink before the writers close.
 	m.DrainProv()
+	recs.materialise(exp, res)
 	exp.Meta.Stats = m.Stats()
 	exp.Allocs = m.Allocs()
 	exp.Meta.Output = m.OutputLongs()

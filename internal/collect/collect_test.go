@@ -2,6 +2,7 @@ package collect
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dsprof/internal/asm"
@@ -310,5 +311,99 @@ func TestCollectPerturbationSmall(t *testing.T) {
 	}
 	if res.Machine.Stats().Cycles != plain {
 		t.Errorf("profiled run took %d cycles, unprofiled %d", res.Machine.Stats().Cycles, plain)
+	}
+}
+
+// descendSrc chases the list of chaseSrc from under a recursion of
+// varying depth, so consecutive events carry different callstacks.
+const descendSrc = `
+struct node { long value; struct node *next; long pad1; long pad2; long pad3; long pad4; long pad5; long pad6; };
+long chase(struct node *p, long steps) {
+	long sum;
+	sum = 0;
+	while (steps > 0) {
+		sum += p->value;
+		p = p->next;
+		steps--;
+	}
+	return sum;
+}
+long descend(struct node *p, long depth, long steps) {
+	if (depth == 0) {
+		return chase(p, steps);
+	}
+	return descend(p->next, depth - 1, steps);
+}
+long main() {
+	struct node *a;
+	long n;
+	long i;
+	long j;
+	long total;
+	n = read_long();
+	a = (struct node *) malloc(n * sizeof(struct node));
+	j = 0;
+	for (i = 0; i < n; i++) {
+		a[j].value = i;
+		a[j].next = &a[(j + 97) % n];
+		j = (j + 97) % n;
+	}
+	total = 0;
+	for (i = 0; i < 64; i++) {
+		total += descend(&a[i], i % 5, n / 16);
+	}
+	write_long(total);
+	return 0;
+}
+`
+
+// TestSpooledRecordsMatchInMemory spools a collect in shards of 7
+// records, so the storage of buffered callstacks is reused after every
+// shard flush, and requires every record read back from the shard files
+// to equal the in-memory collect's, callstack for callstack.
+func TestSpooledRecordsMatchInMemory(t *testing.T) {
+	prog, err := cc.Compile([]cc.Source{{Name: "descend.mc", Text: descendSrc}}, cc.Options{Name: "descend", HWCProf: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, _ := ParseCounterSpec("+ecrm,17,+ecref,53")
+	opts := Options{Counters: specs, Machine: scaled(), Input: []int64{20000}}
+	inMem, err := Run(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.SpoolDir = filepath.Join(t.TempDir(), "spool.er")
+	opts.SpoolShardEvents = 7
+	spooled, err := Run(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pic := range experiment.NumPICs {
+		want := inMem.Exp.HWC[pic]
+		depths := map[int]bool{}
+		for _, e := range want {
+			depths[len(e.Callstack)] = true
+		}
+		t.Logf("PIC%d: %d events over %d callstack depths", pic, len(want), len(depths))
+		if len(want) < 100 || len(depths) < 3 {
+			t.Fatalf("PIC%d: %d events over %d callstack depths; the test needs many shards of varied stacks", pic, len(want), len(depths))
+		}
+		if len(spooled.Exp.HWC[pic]) != 0 {
+			t.Errorf("PIC%d: spooled run kept %d events in memory", pic, len(spooled.Exp.HWC[pic]))
+		}
+		var got []experiment.HWCEvent
+		for i := range spooled.Exp.Shards(pic) {
+			recs, err := spooled.Exp.ReadShard(pic, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, recs...)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("PIC%d: spooled records differ from the in-memory run's", pic)
+		}
+		if !reflect.DeepEqual(spooled.Truth[pic], inMem.Truth[pic]) {
+			t.Errorf("PIC%d: spooled run's ground truth differs", pic)
+		}
 	}
 }

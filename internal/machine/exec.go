@@ -141,7 +141,8 @@ func (m *Machine) Step() error {
 			m.nextTick += m.ClockTickCycles
 			m.stats.ClockTicks++
 			if m.OnClockTick != nil {
-				m.OnClockTick(&ClockTick{PC: m.PC, Callstack: m.callstackScratch(), Cycles: m.stats.Cycles})
+				m.tick = ClockTick{PC: m.PC, Callstack: m.callstackScratch(), Cycles: m.stats.Cycles}
+				m.OnClockTick(&m.tick)
 			}
 		}
 	}
@@ -432,37 +433,31 @@ func (m *Machine) countOn(pic int, ev hwc.Event, n uint64, trigPC, ea uint64, ha
 	for i := 0; i < overflows; i++ {
 		m.pending = append(m.pending, pendingSig{
 			remaining: m.skid.Instrs(ev),
-			ev: OverflowEvent{
-				PIC:       pic,
-				Event:     ev,
-				TruePC:    trigPC,
-				TrueEA:    ea,
-				TrueHasEA: hasEA,
-			},
+			pic:       pic, ev: ev, trigPC: trigPC, ea: ea, hasEA: hasEA,
 		})
 	}
 }
 
 // deliverPending ages pending overflow signals and fires those whose skid
 // has elapsed. Delivered state (PC, registers, callstack) is the live
-// machine state at delivery time. The callstack is a reusable scratch
-// buffer — see OverflowEvent.Callstack — keeping delivery allocation-free.
+// machine state at delivery time. It fills the machine's one event record
+// and callstack scratch buffer — see OverflowEvent — keeping delivery
+// allocation-free.
 func (m *Machine) deliverPending() {
 	kept := m.pending[:0]
-	for i := range m.pending {
-		p := &m.pending[i]
+	for _, p := range m.pending {
 		p.remaining--
 		if p.remaining > 0 {
-			kept = append(kept, *p)
+			kept = append(kept, p)
 			continue
 		}
 		if m.OnOverflow != nil {
-			e := p.ev
-			e.DeliveredPC = m.PC
-			e.Regs = m.Regs
-			e.Callstack = m.callstackScratch()
-			e.Cycles = m.stats.Cycles
-			m.OnOverflow(&e)
+			m.ovf = OverflowEvent{
+				PIC: p.pic, Event: p.ev,
+				DeliveredPC: m.PC, Regs: m.Regs, Callstack: m.callstackScratch(), Cycles: m.stats.Cycles,
+				TruePC: p.trigPC, TrueEA: p.ea, TrueHasEA: p.hasEA,
+			}
+			m.OnOverflow(&m.ovf)
 		}
 	}
 	m.pending = kept

@@ -17,6 +17,11 @@ import (
 // skidded an unknown number of instructions past the trigger. The register
 // snapshot is the live register file at delivery.
 //
+// The record is the machine's own and is refilled for every delivery, so
+// delivery allocates nothing: it, its Regs and its Callstack are valid
+// only for the duration of the callback, and handlers that retain any of
+// them must copy the value (not the pointer).
+//
 // TruePC/TrueEA are a ground-truth side channel recorded by the simulator
 // for test validation only; the collector and analyzer never read them
 // (the paper's hardware does not provide them, which is the entire reason
@@ -27,8 +32,7 @@ type OverflowEvent struct {
 	DeliveredPC uint64
 	Regs        [isa.NumRegs]int64
 	// Callstack holds the call-site PCs, outermost first. It aliases a
-	// reusable scratch buffer and is valid only for the duration of the
-	// callback; handlers that retain it must copy.
+	// reusable scratch buffer, like the record itself.
 	Callstack []uint64
 	Cycles    uint64 // machine cycle count at delivery
 
@@ -39,9 +43,9 @@ type OverflowEvent struct {
 
 // ClockTick is delivered to the profiling layer on each clock-profiling
 // tick. Like real clock interrupts, the PC is the next instruction to
-// issue, and no backtracking correction is possible. Callstack aliases a
-// reusable scratch buffer, valid only during the callback (copy to
-// retain), like OverflowEvent.Callstack.
+// issue, and no backtracking correction is possible. Like OverflowEvent,
+// the record and its Callstack are the machine's, refilled for every
+// tick and valid only during the callback (copy the value to retain it).
 type ClockTick struct {
 	PC        uint64
 	Callstack []uint64
@@ -72,9 +76,15 @@ type Stats struct {
 	ClockTicks    uint64
 }
 
+// pendingSig is an overflow signal waiting out its skid. It carries only
+// what is known at the trigger; deliverPending adds the delivery state.
 type pendingSig struct {
-	remaining int
-	ev        OverflowEvent
+	remaining int // instructions left to retire before delivery
+	pic       int
+	ev        hwc.Event
+	trigPC    uint64
+	ea        uint64
+	hasEA     bool
 }
 
 // Machine is one simulated processor plus its process address space.
@@ -133,7 +143,8 @@ type Machine struct {
 	outLong []int64
 	outText bytes.Buffer
 
-	// Profiling hooks.
+	// Profiling hooks. Each call receives the machine's reused record
+	// (ovf or tick below); see OverflowEvent and ClockTick.
 	OnOverflow      func(*OverflowEvent)
 	OnClockTick     func(*ClockTick)
 	ClockTickCycles uint64
@@ -146,6 +157,8 @@ type Machine struct {
 	skid     *hwc.Skid
 	pending  []pendingSig
 	nextTick uint64
+	ovf      OverflowEvent
+	tick     ClockTick
 
 	callstack []uint64
 	// csScratch is the reusable buffer callstackScratch snapshots into,

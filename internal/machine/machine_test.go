@@ -324,7 +324,7 @@ func TestPrefetchNeverFaults(t *testing.T) {
 
 func TestCounterOverflowAndSkid(t *testing.T) {
 	cfg := DefaultConfig()
-	var events []*OverflowEvent
+	var events []OverflowEvent
 	// Strided loads over a fresh heap block: every load of a new 512-byte
 	// E$ line is an E$ read miss.
 	m := build(t, cfg, func(b *asm.Builder) {
@@ -345,7 +345,7 @@ func TestCounterOverflowAndSkid(t *testing.T) {
 	if err := m.ArmCounter(0, hwc.EvECRdMiss, 100); err != nil {
 		t.Fatal(err)
 	}
-	m.OnOverflow = func(e *OverflowEvent) { events = append(events, e) }
+	m.OnOverflow = func(e *OverflowEvent) { events = append(events, *e) } // the record is reused: copy it
 	run(t, m)
 	if m.Stats().ECRdMisses < 1000 {
 		t.Fatalf("ECRdMisses = %d, expected ~1024", m.Stats().ECRdMisses)
@@ -394,7 +394,7 @@ func TestTwoCountersAndArmValidation(t *testing.T) {
 func TestDTLBPreciseDelivery(t *testing.T) {
 	// DTLB overflow events are precise: delivered PC is exactly trigger+4
 	// in a straight-line sequence.
-	var events []*OverflowEvent
+	var events []OverflowEvent
 	m := build(t, DefaultConfig(), func(b *asm.Builder) {
 		b.Emit(movImm(isa.O0, 1))
 		b.Emit(isa.Instr{Op: isa.Sll, Rd: isa.O0, Rs1: isa.O0, UseImm: true, Imm: 24}) // 16 MB
@@ -416,7 +416,7 @@ func TestDTLBPreciseDelivery(t *testing.T) {
 	if err := m.ArmCounter(0, hwc.EvDTLBMiss, 50); err != nil {
 		t.Fatal(err)
 	}
-	m.OnOverflow = func(e *OverflowEvent) { events = append(events, e) }
+	m.OnOverflow = func(e *OverflowEvent) { events = append(events, *e) } // the record is reused: copy it
 	run(t, m)
 	if len(events) == 0 {
 		t.Fatal("no DTLB overflow events")

@@ -3,6 +3,7 @@ package machine
 import (
 	"encoding/binary"
 
+	"dsprof/internal/chunk"
 	"dsprof/internal/hwc"
 	"dsprof/internal/isa"
 	"dsprof/internal/mem"
@@ -262,6 +263,14 @@ type transState struct {
 	// sink absorbs writes whose architectural destination is G0 (reads
 	// still see zero through Regs[0], which no translated op writes).
 	sink int64
+	// scratch is the op buffer translateBlock emits into. A finished
+	// block's ops are copied into ops and its tblock into tblocks, chunked
+	// storage whose addresses never move (blocks and s0/s1 point into
+	// it), so translating a block allocates nothing but a new chunk now
+	// and then.
+	scratch []tinstr
+	ops     chunk.List[tinstr]
+	tblocks chunk.List[tblock]
 }
 
 func (m *Machine) ensureTrans() *transState {
@@ -1000,7 +1009,8 @@ func (m *Machine) prefetchFill(t *tinstr, addr uint64, st *tstate) uint8 {
 // translateBlock compiles the superblock entered at instruction index
 // idx, or returns noTransBlock when no block can start there.
 func (m *Machine) translateBlock(idx int) *tblock {
-	b := &tblock{entry: TextBase + uint64(idx)*isa.InstrBytes}
+	t := m.ensureTrans()
+	b := &tblock{entry: TextBase + uint64(idx)*isa.InstrBytes, code: t.scratch[:0]}
 	prevLine := ^uint64(0)
 	i := idx
 	for {
@@ -1073,7 +1083,7 @@ func (m *Machine) translateBlock(idx int) *tblock {
 			m.emitInstr(b, ds, dpc, dprobe)
 			b.ninstr = uint64(i + 2 - idx)
 			b.kind = tEndCTI
-			return b
+			return t.keep(b)
 		}
 
 		m.emitInstr(b, d, pc, probe)
@@ -1087,7 +1097,15 @@ func (m *Machine) translateBlock(idx int) *tblock {
 	}
 	b.ninstr = uint64(i - idx)
 	b.kind = tEndGoto
-	return b
+	return t.keep(b)
+}
+
+// keep stores the block b, just emitted into the scratch buffer, in
+// chunked storage and returns its stable address.
+func (t *transState) keep(b *tblock) *tblock {
+	t.scratch = b.code[:0]
+	b.code = t.ops.Copy(b.code)
+	return t.tblocks.Add(*b)
 }
 
 // emitInstr appends the ops for one non-CTI instruction and adds it to
