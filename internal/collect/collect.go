@@ -41,9 +41,6 @@ type Options struct {
 	Machine *machine.Config
 	// Input is the program's input vector.
 	Input []int64
-	// MaxBacktrack bounds the apropos backtracking search, in
-	// instructions (0 = default 8).
-	MaxBacktrack int
 	// Label tags the experiment's provenance (e.g. "baseline",
 	// "reorder:arc"); it is recorded in the experiment meta.
 	Label string
@@ -85,25 +82,26 @@ type Options struct {
 	MemProfile string
 }
 
-// Truth is the per-event ground truth the simulator knows but a real
-// machine would not. It is returned to the caller for test validation and
-// never written into the experiment.
-type Truth struct {
-	PIC    int
-	TruePC uint64
-	TrueEA uint64
-	HasEA  bool
+// maxBacktrack bounds the apropos backtracking search, in instructions.
+const maxBacktrack = 8
+
+// Accuracy counts how one PIC's delivered events were attributed against
+// the ground truth the simulator knows but a real machine would not
+// (OverflowEvent.TruePC/TrueEA). It is counted at delivery, so it costs
+// no memory per event, and is never written into the experiment.
+type Accuracy struct {
+	Events    int // events delivered
+	PCRight   int // candidate trigger PC equal to the true trigger PC
+	EAClaimed int // events that claimed an effective address
+	EARight   int // claimed EAs equal to the true trigger's EA
 }
 
 // Result is the outcome of a profiled run.
 type Result struct {
 	Exp     *experiment.Experiment
 	Machine *machine.Machine
-	// Truth holds ground truth for HWC events, per PIC in delivery order:
-	// Truth[pic][i] is the i-th event delivered on pic, which is
-	// Exp.HWC[pic][i] in memory and the i-th record of the PIC's shard
-	// stream when the run spooled (Exp.HWC is then empty).
-	Truth [2][]Truth
+	// Accuracy holds each PIC's attribution counts, spooled or not.
+	Accuracy [2]Accuracy
 }
 
 // DefaultClockIntervalCycles is ~10 ms at the configured clock, as a
@@ -228,7 +226,6 @@ func runMachine(ctx context.Context, m *machine.Machine, singleStep bool) error 
 // experiment's slices once, at exact length.
 type records struct {
 	hwc    [2]chunk.List[experiment.HWCEvent]
-	truth  [2]chunk.List[Truth]
 	clock  chunk.List[experiment.ClockEvent]
 	prov   chunk.List[machine.ProvRecord]
 	stacks chunk.List[uint64] // callstacks of hwc and clock records
@@ -238,13 +235,12 @@ type records struct {
 	spoolStacks [2]chunk.List[uint64]
 }
 
-// materialise moves the records into exp and res, leaving r empty so a
-// retained machine (and the hooks that reach r) keeps no second copy.
-// Streams that recorded nothing stay nil.
-func (r *records) materialise(exp *experiment.Experiment, res *Result) {
+// materialise moves the records into exp, leaving r empty so a retained
+// machine (and the hooks that reach r) keeps no second copy. Streams that
+// recorded nothing stay nil.
+func (r *records) materialise(exp *experiment.Experiment) {
 	for pic := range r.hwc {
 		exp.HWC[pic] = r.hwc[pic].Slice()
-		res.Truth[pic] = r.truth[pic].Slice()
 	}
 	exp.Clock = r.clock.Slice()
 	exp.Prov = r.prov.Slice()
@@ -272,11 +268,6 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 		return nil, err
 	}
 	m.SetInput(opts.Input)
-
-	maxBT := opts.MaxBacktrack
-	if maxBT == 0 {
-		maxBT = 8
-	}
 
 	exp := &experiment.Experiment{Prog: prog}
 	res := &Result{Exp: exp, Machine: m}
@@ -395,7 +386,7 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 			Cycles:      e.Cycles,
 		}
 		if backtrack[e.PIC] {
-			if cand, ok := Backtrack(prog, e.DeliveredPC, e.Event, maxBT); ok {
+			if cand, ok := Backtrack(prog, e.DeliveredPC, e.Event, maxBacktrack); ok {
 				rec.CandidatePC = cand
 				if ea, ok := RecoverEA(prog, cand, e.DeliveredPC, &e.Regs); ok {
 					rec.EA = ea
@@ -417,9 +408,17 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 		} else {
 			recs.hwc[e.PIC].Add(rec)
 		}
-		recs.truth[e.PIC].Add(Truth{
-			PIC: e.PIC, TruePC: e.TruePC, TrueEA: e.TrueEA, HasEA: e.TrueHasEA,
-		})
+		acc := &res.Accuracy[e.PIC]
+		acc.Events++
+		if rec.CandidatePC == e.TruePC {
+			acc.PCRight++
+		}
+		if rec.HasEA {
+			acc.EAClaimed++
+			if e.TrueHasEA && rec.EA == e.TrueEA {
+				acc.EARight++
+			}
+		}
 	}
 
 	var cpuProf *os.File
@@ -448,7 +447,7 @@ func RunContext(ctx context.Context, prog *asm.Program, opts Options) (*Result, 
 	// Records for blocks still live at halt (or at the cancellation cut)
 	// drain into the provenance sink before the writers close.
 	m.DrainProv()
-	recs.materialise(exp, res)
+	recs.materialise(exp)
 	exp.Meta.Stats = m.Stats()
 	exp.Allocs = m.Allocs()
 	exp.Meta.Output = m.OutputLongs()

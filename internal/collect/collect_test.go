@@ -156,34 +156,26 @@ func TestBacktrackingAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pic, name := range []string{"ecrm", "dtlbm"} {
-		events := res.Exp.HWC[pic]
-		truth := res.Truth[pic]
-		if len(events) < 50 {
-			t.Fatalf("%s: only %d events", name, len(events))
+		acc := res.Accuracy[pic]
+		if n := len(res.Exp.HWC[pic]); acc.Events != n {
+			t.Fatalf("%s: accuracy counts %d events, the experiment holds %d", name, acc.Events, n)
 		}
-		correct, withEA, eaCorrect := 0, 0, 0
-		for i, e := range events {
-			if e.CandidatePC == truth[i].TruePC {
-				correct++
-			}
-			if e.HasEA {
-				withEA++
-				if truth[i].HasEA && e.EA == truth[i].TrueEA {
-					eaCorrect++
-				}
-			}
+		if acc.Events < 50 {
+			t.Fatalf("%s: only %d events", name, acc.Events)
 		}
-		accuracy := float64(correct) / float64(len(events))
+		t.Logf("%s: candidate PC right %d/%d, claimed EA right %d/%d",
+			name, acc.PCRight, acc.Events, acc.EARight, acc.EAClaimed)
+		accuracy := float64(acc.PCRight) / float64(acc.Events)
 		if accuracy < 0.90 {
 			t.Errorf("%s: backtracking accuracy %.1f%% (%d/%d), want >= 90%%",
-				name, accuracy*100, correct, len(events))
+				name, accuracy*100, acc.PCRight, acc.Events)
 		}
-		if withEA == 0 {
+		if acc.EAClaimed == 0 {
 			t.Errorf("%s: no effective addresses recovered", name)
-		} else if float64(eaCorrect)/float64(withEA) < 0.98 {
+		} else if float64(acc.EARight)/float64(acc.EAClaimed) < 0.98 {
 			// When the collector *claims* an EA it must be right: the
 			// register-clobber check is conservative.
-			t.Errorf("%s: recovered EAs wrong: %d/%d correct", name, eaCorrect, withEA)
+			t.Errorf("%s: recovered EAs wrong: %d/%d correct", name, acc.EARight, acc.EAClaimed)
 		}
 	}
 }
@@ -197,18 +189,15 @@ func TestDTLBBacktrackingIsPerfect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	events, truth := res.Exp.HWC[0], res.Truth[0]
-	if len(events) < 100 {
-		t.Fatalf("only %d DTLB events", len(events))
+	acc := res.Accuracy[0]
+	if n := len(res.Exp.HWC[0]); acc.Events != n {
+		t.Fatalf("accuracy counts %d events, the experiment holds %d", acc.Events, n)
 	}
-	correct := 0
-	for i, e := range events {
-		if e.CandidatePC == truth[i].TruePC {
-			correct++
-		}
+	if acc.Events < 100 {
+		t.Fatalf("only %d DTLB events", acc.Events)
 	}
-	if acc := float64(correct) / float64(len(events)); acc < 0.999 {
-		t.Errorf("DTLB backtracking accuracy %.2f%%, want ~100%%", acc*100)
+	if r := float64(acc.PCRight) / float64(acc.Events); r < 0.999 {
+		t.Errorf("DTLB backtracking accuracy %.2f%%, want ~100%%", r*100)
 	}
 }
 
@@ -402,8 +391,9 @@ func TestSpooledRecordsMatchInMemory(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("PIC%d: spooled records differ from the in-memory run's", pic)
 		}
-		if !reflect.DeepEqual(spooled.Truth[pic], inMem.Truth[pic]) {
-			t.Errorf("PIC%d: spooled run's ground truth differs", pic)
+		if got, want := spooled.Accuracy[pic], inMem.Accuracy[pic]; got != want || want.Events != len(inMem.Exp.HWC[pic]) {
+			t.Errorf("PIC%d: spooled run's accuracy counts %+v, in-memory run's %+v over %d events",
+				pic, got, want, len(inMem.Exp.HWC[pic]))
 		}
 	}
 }

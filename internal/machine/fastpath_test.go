@@ -138,7 +138,7 @@ func equivProg(b *asm.Builder) {
 	b.Emit(isa.Instr{Op: isa.Nop}) // delay slot
 	b.Emit(isa.Instr{Op: isa.Add, Rd: isa.L1, Rs1: isa.L1, UseImm: true, Imm: 72})
 	b.Emit(isa.Instr{Op: isa.Cmp, Rs1: isa.L1, Rs2: isa.L2})
-	b.Emit(isa.Instr{Op: isa.Nop}) // fuses across: cmp, nop, bl is one op
+	b.Emit(isa.Instr{Op: isa.Nop}) // emits no op: cmp's op is followed by bl's
 	b.EmitBranch(isa.Bl, "loop")
 	b.Emit(isa.Instr{Op: isa.Nop}) // delay slot
 	b.Emit(isa.Instr{Op: isa.Syscall, UseImm: true, Imm: SysCycles})

@@ -186,9 +186,9 @@ func FuzzBackendDifferential(f *testing.F) {
 	// with a store in its delay slot) and branches, so overflows land
 	// between a CTI and its target.
 	f.Add([]byte{8, 4, 0, 0, 17, 0, 16, 3, 17, 0, 16, 5, 17, 0, 12, 8, 16, 1})
-	// Fused-compare corpus: a loop of add, compare, nop, branch. The
-	// compare reaches its branch across the nop as one fused op, and
-	// 7-instruction slices end between the two.
+	// Compare-and-branch corpus: a loop of add, compare, nop, branch. The
+	// nop emits no op, so the compare's op runs right before the branch's,
+	// and 7-instruction slices end between the two.
 	f.Add([]byte{0, 0, 14, 0, 19, 0, 16, 0})
 	// Trap corpus: icm 3 over straight-line nops ending in a misaligned
 	// load that opens the sixth I$ line. Its own fetch miss is the

@@ -12,11 +12,12 @@ import (
 
 // This file is the engine's binary translator: superblocks of
 // predecoded instructions compile into threaded code — flat arrays of
-// pre-resolved operations whose register operands are pointers into the
-// register file and whose immediates, branch targets, and fetch lines are
-// constants — executed by one tight dispatch loop with block-level
-// cycle/instruction accounting and a single EvInstrs/EvCycles flush at
-// the end of each translated stretch.
+// pre-resolved operations, one per instruction that does anything, whose
+// operands are pointers (into the register file, or at the op's own
+// immediate) and whose branch targets and fetch lines are constants —
+// executed by one tight dispatch loop with block-level cycle/instruction
+// accounting and a single EvInstrs/EvCycles flush at the end of each
+// translated stretch.
 //
 // Safety rests on three invariants (see DESIGN.md §11):
 //
@@ -77,58 +78,23 @@ const (
 	opBail              // its trap predicate holds: not executed, Step re-executes it
 )
 
-// Threaded-op kinds. ALU operations get separate register/immediate
-// variants so their dispatch cases are branch-free; rarer trap-capable
-// and control ops fold variants into op2 flag bits.
+// Threaded-op kinds, one per operation: a second operand, register or
+// immediate, is read through rs2 either way (see keep), and rarer
+// trap-capable and control ops fold variants into op2 flag bits. Every
+// kind before tDivRem never bails, so it can carry its fetch probe.
 const (
-	tAddRR uint8 = iota
-	tAddRI
-	tSubRR
-	tSubRI
-	tMulRR
-	tMulRI
-	tAndRR
-	tAndRI
-	tOrRR
-	tOrRI
-	tXorRR
-	tXorRI
-	tSllRR
-	tSllRI
-	tSrlRR
-	tSrlRI
-	tSraRR
-	tSraRI
+	tAdd uint8 = iota
+	tSub
+	tMul
+	tAnd
+	tOr
+	tXor
+	tSll
+	tSrl
+	tSra
 	tMov
-	tSetHiR
-	tCmpRR
-	tCmpRI
-	// Fused compare-and-branch superinstructions: a ClCmp immediately
-	// followed by the conditional branch it feeds collapses into one op
-	// that sets the condition codes (later code may still read them) and
-	// selects the successor from the comparison directly. Ordered in
-	// tBe..tBleu condition order, register/immediate variants adjacent,
-	// so the emitter computes the kind arithmetically.
-	tFBeRR
-	tFBeRI
-	tFBneRR
-	tFBneRI
-	tFBgRR
-	tFBgRI
-	tFBgeRR
-	tFBgeRI
-	tFBlRR
-	tFBlRI
-	tFBleRR
-	tFBleRI
-	tFBguRR
-	tFBguRI
-	tFBgeuRR
-	tFBgeuRI
-	tFBluRR
-	tFBluRI
-	tFBleuRR
-	tFBleuRI
+	tSetHi
+	tCmp
 	tBa
 	tBe
 	tBne
@@ -157,7 +123,6 @@ const (
 	opJmplRet    uint8 = 1 << 0
 	opProbeShift       = 4 // 2 bits: probeNone/probeFirst/probeAlways
 	opProbeMask  uint8 = 3 << opProbeShift
-	opRegOff     uint8 = 1 << 7 // second operand is *rs2, not imm
 )
 
 // Per-site cache bit layout. A memory op's aux field packs its align
@@ -181,39 +146,27 @@ const (
 	probeAlways       // static line crossing: always probe
 )
 
-// tinstr is one threaded operation: an instruction with operands resolved
-// to register-file pointers and decode-time constants, or a standalone
-// fetch probe. The ops of a block sit in one contiguous slice, so the
-// dispatch loop streams them with no pointer chasing. Memory and probe
-// ops are self-modifying in one narrow sense: they cache the cache way
-// they last hit (a pure performance hint, verified by tag compare on
-// every use) so repeat hits retire inline without the full Access call.
+// tinstr is one threaded operation: the instruction at pc with operands
+// resolved to pointers and decode-time constants, or a standalone fetch
+// probe. The ops of a block sit in one contiguous slice, so the dispatch
+// loop streams them with no pointer chasing. Memory and probe ops are
+// self-modifying in one narrow sense: they cache the cache way they last
+// hit (a pure performance hint, verified by tag compare on every use) so
+// repeat hits retire inline without the full Access call.
 type tinstr struct {
 	kind uint8
 	op2  uint8
 	rd   *int64
 	rs1  *int64
-	rs2  *int64
-	imm  int64  // immediate operand / branch or call target / probe way cache
-	aux  uint64 // branch fall-through PC; probe fetch line; mem align mask (low byte) + way cache (high bits)
-	pc   uint64
+	// rs2 is the second operand: a register, or this op's own imm for an
+	// immediate form.
+	rs2 *int64
+	imm int64  // immediate operand / branch or call target / probe way cache
+	aux uint64 // branch fall-through PC; probe fetch line; mem align mask (low byte) + way cache (high bits)
+	pc  uint64
 	// way is a memory op's DTLB entry cache, or the I$ way cache of the
 	// fetch probe a never-bailing op carries folded in.
 	way uint64
-}
-
-// fused reports whether t is a fused compare-and-branch. It covers the
-// compare, any nops between (which emit no op), and the branch.
-func (t *tinstr) fused() bool { return t.kind >= tFBeRR && t.kind <= tFBleuRI }
-
-// instrPC returns the PC of the last instruction op t executes: the
-// branch of a fused compare-and-branch, whose pc field carries the PC
-// after the delay slot.
-func (t *tinstr) instrPC() uint64 {
-	if t.fused() {
-		return t.pc - 2*isa.InstrBytes
-	}
-	return t.pc
 }
 
 // Block terminator kinds.
@@ -389,30 +342,14 @@ func (m *Machine) runTranslated(maxN, stop uint64) uint64 {
 
 // fit returns the longest prefix of b within nmax instructions and cmax
 // cycles of static cost: its first j ops, covering k instructions that
-// cost c. A fused compare-and-branch op is never split.
+// cost c.
 func (m *Machine) fit(b *tblock, nmax, cmax uint64) (j int, k, c uint64) {
 	dec := m.dec[(b.entry-TextBase)/isa.InstrBytes:][:b.ninstr]
 	for n := min(nmax, b.ninstr); k < n && c+uint64(dec[k].Cost) <= cmax; k++ {
 		c += uint64(dec[k].Cost)
 	}
-	// Map k to ops. A prefix ending inside a fused compare-and-branch
-	// stops before its compare.
-	for ; j < len(b.code); j++ {
-		t := &b.code[j]
-		last := (t.instrPC() - b.entry) / isa.InstrBytes
-		if last < k {
-			continue
-		}
-		if t.fused() {
-			first := last - 1
-			for dec[first].Class != isa.ClCmp {
-				first--
-			}
-			for ; k > first; k-- {
-				c -= uint64(dec[k-1].Cost)
-			}
-		}
-		break
+	for j < len(b.code) && b.code[j].pc < b.entry+k*isa.InstrBytes {
+		j++
 	}
 	return j, k, c
 }
@@ -459,8 +396,8 @@ func (b *tblock) resume(st *tstate, k uint64) (pc, npc uint64) {
 // pending, or bounds checks (the caller proved the ops fit) and no
 // per-op cycle accounting for ALU ops (the caller charges base costs).
 // It returns early — with k, the instructions of b retired — when an op
-// bails (k excludes it) or left an overflow pending or passed the cycle
-// horizon (k includes the op's instructions). Only miss paths can count
+// bails (k excludes its instruction) or left an overflow pending or
+// passed the cycle horizon (k includes it). Only miss paths can count
 // or stall, so only they look at the pending list and the horizon.
 func (b *tblock) exec(m *Machine, st *tstate, code []tinstr) (k uint64, early bool) {
 	for i := 0; i < len(code); i++ {
@@ -471,143 +408,42 @@ func (b *tblock) exec(m *Machine, st *tstate, code []tinstr) (k uint64, early bo
 		// quarter of all dispatches). Trap-capable ops — tMem, tDivRem —
 		// probe inside their exec funcs, after their bail predicates.
 		if t.op2&opProbeMask != 0 && t.kind < tDivRem {
-			ppc := t.instrPC()
-			line := ppc >> m.icLineShift
+			line := t.pc >> m.icLineShift
 			if t.op2&opProbeMask == probeAlways<<opProbeShift || line != st.fetchLine {
 				st.fetchLine = line
-				if !m.IC.WayHit(int(t.way), ppc, false) && m.icFoldProbeSlow(t, ppc, st) == opExit {
+				if !m.IC.WayHit(int(t.way), t.pc, false) && m.icFoldProbeSlow(t, st) == opExit {
 					// End the loop after this op, which still runs, and
-					// side-exit after its (last) instruction.
+					// side-exit after its instruction.
 					code = code[:i+1]
-					k, early = (ppc-b.entry)/isa.InstrBytes+1, true
+					k, early = (t.pc-b.entry)/isa.InstrBytes+1, true
 				}
 			}
 		}
 		switch t.kind {
-		case tAddRR:
+		case tAdd:
 			*t.rd = *t.rs1 + *t.rs2
-		case tAddRI:
-			*t.rd = *t.rs1 + t.imm
-		case tSubRR:
+		case tSub:
 			*t.rd = *t.rs1 - *t.rs2
-		case tSubRI:
-			*t.rd = *t.rs1 - t.imm
-		case tMulRR:
+		case tMul:
 			*t.rd = *t.rs1 * *t.rs2
-		case tMulRI:
-			*t.rd = *t.rs1 * t.imm
-		case tAndRR:
+		case tAnd:
 			*t.rd = *t.rs1 & *t.rs2
-		case tAndRI:
-			*t.rd = *t.rs1 & t.imm
-		case tOrRR:
+		case tOr:
 			*t.rd = *t.rs1 | *t.rs2
-		case tOrRI:
-			*t.rd = *t.rs1 | t.imm
-		case tXorRR:
+		case tXor:
 			*t.rd = *t.rs1 ^ *t.rs2
-		case tXorRI:
-			*t.rd = *t.rs1 ^ t.imm
-		case tSllRR:
+		case tSll:
 			*t.rd = *t.rs1 << (uint64(*t.rs2) & 63)
-		case tSllRI:
-			*t.rd = *t.rs1 << t.aux
-		case tSrlRR:
+		case tSrl:
 			*t.rd = int64(uint64(*t.rs1) >> (uint64(*t.rs2) & 63))
-		case tSrlRI:
-			*t.rd = int64(uint64(*t.rs1) >> t.aux)
-		case tSraRR:
+		case tSra:
 			*t.rd = *t.rs1 >> (uint64(*t.rs2) & 63)
-		case tSraRI:
-			*t.rd = *t.rs1 >> t.aux
 		case tMov:
 			*t.rd = t.imm
-		case tSetHiR:
+		case tSetHi:
 			*t.rd = *t.rs2 << isa.SetHiShift
-		case tCmpRR:
+		case tCmp:
 			m.setCC(*t.rs1, *t.rs2)
-		case tCmpRI:
-			m.setCC(*t.rs1, t.imm)
-		case tFBeRR:
-			a, c := *t.rs1, *t.rs2
-			m.setCC(a, c)
-			fbr(st, t, a == c)
-		case tFBeRI:
-			a := *t.rs1
-			m.setCC(a, t.imm)
-			fbr(st, t, a == t.imm)
-		case tFBneRR:
-			a, c := *t.rs1, *t.rs2
-			m.setCC(a, c)
-			fbr(st, t, a != c)
-		case tFBneRI:
-			a := *t.rs1
-			m.setCC(a, t.imm)
-			fbr(st, t, a != t.imm)
-		case tFBgRR:
-			a, c := *t.rs1, *t.rs2
-			m.setCC(a, c)
-			fbr(st, t, a > c)
-		case tFBgRI:
-			a := *t.rs1
-			m.setCC(a, t.imm)
-			fbr(st, t, a > t.imm)
-		case tFBgeRR:
-			a, c := *t.rs1, *t.rs2
-			m.setCC(a, c)
-			fbr(st, t, a >= c)
-		case tFBgeRI:
-			a := *t.rs1
-			m.setCC(a, t.imm)
-			fbr(st, t, a >= t.imm)
-		case tFBlRR:
-			a, c := *t.rs1, *t.rs2
-			m.setCC(a, c)
-			fbr(st, t, a < c)
-		case tFBlRI:
-			a := *t.rs1
-			m.setCC(a, t.imm)
-			fbr(st, t, a < t.imm)
-		case tFBleRR:
-			a, c := *t.rs1, *t.rs2
-			m.setCC(a, c)
-			fbr(st, t, a <= c)
-		case tFBleRI:
-			a := *t.rs1
-			m.setCC(a, t.imm)
-			fbr(st, t, a <= t.imm)
-		case tFBguRR:
-			a, c := *t.rs1, *t.rs2
-			m.setCC(a, c)
-			fbr(st, t, uint64(a) > uint64(c))
-		case tFBguRI:
-			a := *t.rs1
-			m.setCC(a, t.imm)
-			fbr(st, t, uint64(a) > uint64(t.imm))
-		case tFBgeuRR:
-			a, c := *t.rs1, *t.rs2
-			m.setCC(a, c)
-			fbr(st, t, uint64(a) >= uint64(c))
-		case tFBgeuRI:
-			a := *t.rs1
-			m.setCC(a, t.imm)
-			fbr(st, t, uint64(a) >= uint64(t.imm))
-		case tFBluRR:
-			a, c := *t.rs1, *t.rs2
-			m.setCC(a, c)
-			fbr(st, t, uint64(a) < uint64(c))
-		case tFBluRI:
-			a := *t.rs1
-			m.setCC(a, t.imm)
-			fbr(st, t, uint64(a) < uint64(t.imm))
-		case tFBleuRR:
-			a, c := *t.rs1, *t.rs2
-			m.setCC(a, c)
-			fbr(st, t, uint64(a) <= uint64(c))
-		case tFBleuRI:
-			a := *t.rs1
-			m.setCC(a, t.imm)
-			fbr(st, t, uint64(a) <= uint64(t.imm))
 		case tBa:
 			st.target = uint64(t.imm)
 		case tBe:
@@ -675,11 +511,7 @@ func (b *tblock) exec(m *Machine, st *tstate, code []tinstr) (k uint64, early bo
 			m.callstack = append(m.callstack, t.pc)
 			st.target = uint64(t.imm)
 		case tJmpl:
-			b := t.imm
-			if t.op2&opRegOff != 0 {
-				b = *t.rs2
-			}
-			target := uint64(*t.rs1 + b) // before the rd write: rd may be rs1
+			target := uint64(*t.rs1 + *t.rs2) // before the rd write: rd may be rs1
 			*t.rd = int64(t.pc)
 			if t.op2&opJmplRet != 0 && len(m.callstack) > 0 {
 				m.callstack = m.callstack[:len(m.callstack)-1]
@@ -759,27 +591,13 @@ func (m *Machine) icProbeSlow(t *tinstr, st *tstate) uint8 {
 // op, whose way cache lives in the op's way field.
 //
 //go:noinline
-func (m *Machine) icFoldProbeSlow(t *tinstr, ppc uint64, st *tstate) uint8 {
-	hit, _ := m.IC.AccessFull(ppc, false, true)
+func (m *Machine) icFoldProbeSlow(t *tinstr, st *tstate) uint8 {
+	hit, _ := m.IC.AccessFull(t.pc, false, true)
 	t.way = uint64(m.IC.LastWay())
 	if hit {
 		return opDone
 	}
-	return m.icMiss(ppc, st)
-}
-
-// fbr publishes a fused branch's successor: the taken target (aux) or the
-// PC after the delay slot (carried in the pc field; a fused op never
-// traps, and its probe reads the branch PC through instrPC). The
-// comparison result, not the condition codes, decides — they are
-// equivalent by the setCC identities (Z ⇔ a=b, N≠V ⇔ a<b signed, C ⇔ a<b
-// unsigned).
-func fbr(st *tstate, t *tinstr, taken bool) {
-	if taken {
-		st.target = t.aux
-	} else {
-		st.target = t.pc
-	}
+	return m.icMiss(t.pc, st)
 }
 
 // execDivRem executes a translated divide/remainder. The divide-by-zero
@@ -787,10 +605,7 @@ func fbr(st *tstate, t *tinstr, taken bool) {
 // and Step's re-execution probes, writes rd=0, and raises the exact trap.
 func (m *Machine) execDivRem(t *tinstr, st *tstate) uint8 {
 	op2 := t.op2
-	b := t.imm
-	if op2&opRegOff != 0 {
-		b = *t.rs2
-	}
+	b := *t.rs2
 	if b == 0 {
 		return opBail
 	}
@@ -820,11 +635,7 @@ func (m *Machine) execDivRem(t *tinstr, st *tstate) uint8 {
 // the reference path's.
 func (m *Machine) execMem(t *tinstr, st *tstate) uint8 {
 	op2 := t.op2
-	b := t.imm
-	if op2&opRegOff != 0 {
-		b = *t.rs2
-	}
-	addr := uint64(*t.rs1 + b)
+	addr := uint64(*t.rs1 + *t.rs2)
 	cl := isa.Class(op2 & opClassMask)
 	if cl != isa.ClPrefetch && addr&t.aux&siteAlignMask != 0 {
 		return opBail // misaligned
@@ -1040,38 +851,9 @@ func (m *Machine) translateBlock(idx int) *tblock {
 			if i+1 >= len(m.dec) || m.dec[i+1].EndsBlock() {
 				break
 			}
-			// Superinstruction fusion: a conditional branch whose block
-			// predecessor is the compare feeding it collapses into one
-			// fused op. The compare commutes with the branch's own fetch
-			// probe (the probe touches no registers or condition codes),
-			// so popping it and re-emitting it inside the fused op at the
-			// branch position preserves the execution exactly; costs and
-			// ninstr are per-instruction and unchanged, and exits never
-			// split the pair (fit). Nops between the two emit no op, so
-			// the pair fuses across them.
-			// The compare must not itself carry a folded probe: popping it
-			// would move that probe past the branch position.
-			var fused *tinstr
-			if d.Class == isa.ClBranch && d.Op != isa.Ba && len(b.code) > 0 {
-				if k := b.code[len(b.code)-1].kind; (k == tCmpRR || k == tCmpRI) &&
-					b.code[len(b.code)-1].op2&opProbeMask == 0 {
-					cmp := b.code[len(b.code)-1]
-					b.code = b.code[:len(b.code)-1]
-					fused = &tinstr{
-						kind: tFBeRR + 2*(branchKind[d.Op]-tBe) + (k - tCmpRR),
-						rs1:  cmp.rs1, rs2: cmp.rs2, imm: cmp.imm,
-						aux: uint64(d.Imm), pc: pc + 2*isa.InstrBytes,
-					}
-				}
-			}
-			if fused != nil {
-				fused.op2 = probe << opProbeShift
-				b.code = append(b.code, *fused)
-			} else {
-				ti := m.emitCTI(d, pc)
-				ti.op2 |= probe << opProbeShift
-				b.code = append(b.code, ti)
-			}
+			ti := m.emitCTI(d, pc)
+			ti.op2 |= probe << opProbeShift
+			b.code = append(b.code, ti)
 			b.static += uint64(d.Cost)
 
 			ds := &m.dec[i+1]
@@ -1101,10 +883,17 @@ func (m *Machine) translateBlock(idx int) *tblock {
 }
 
 // keep stores the block b, just emitted into the scratch buffer, in
-// chunked storage and returns its stable address.
+// chunked storage and returns its stable address. An op emitted with no
+// register second operand gets rs2 pointed at its own imm there, where
+// the address never moves, so dispatch reads an immediate through rs2.
 func (t *transState) keep(b *tblock) *tblock {
 	t.scratch = b.code[:0]
 	b.code = t.ops.Copy(b.code)
+	for i := range b.code {
+		if op := &b.code[i]; op.rs2 == nil {
+			op.rs2 = &op.imm
+		}
+	}
 	return t.tblocks.Add(*b)
 }
 
@@ -1117,9 +906,6 @@ func (m *Machine) emitInstr(b *tblock, d *isa.Decoded, pc uint64, probe uint8) {
 	b.static += uint64(d.Cost)
 	line := pc >> m.icLineShift
 	flags := probe << opProbeShift
-	if d.Flags&isa.DFlagImm == 0 {
-		flags |= opRegOff
-	}
 	switch {
 	case d.Class.IsMem():
 		switch {
@@ -1130,7 +916,7 @@ func (m *Machine) emitInstr(b *tblock, d *isa.Decoded, pc uint64, probe uint8) {
 		}
 		b.code = append(b.code, tinstr{
 			kind: tMem, op2: flags | uint8(d.Class),
-			rd: m.memReg(d), rs1: &m.Regs[d.Rs1], rs2: &m.Regs[d.Rs2],
+			rd: m.memReg(d), rs1: &m.Regs[d.Rs1], rs2: m.src2Reg(d),
 			imm: d.Imm, aux: uint64(d.MemSize - 1), pc: pc,
 		})
 		return
@@ -1141,7 +927,7 @@ func (m *Machine) emitInstr(b *tblock, d *isa.Decoded, pc uint64, probe uint8) {
 		}
 		b.code = append(b.code, tinstr{
 			kind: tDivRem, op2: op2,
-			rd: m.wregPtr(d.Rd), rs1: &m.Regs[d.Rs1], rs2: &m.Regs[d.Rs2],
+			rd: m.wregPtr(d.Rd), rs1: &m.Regs[d.Rs1], rs2: m.src2Reg(d),
 			imm: d.Imm, aux: line, pc: pc,
 		})
 		return
@@ -1154,10 +940,11 @@ func (m *Machine) emitInstr(b *tblock, d *isa.Decoded, pc uint64, probe uint8) {
 	if d.Class == isa.ClNop {
 		return // base cost is in the static sum; nothing executes
 	}
-	ti := m.emitALU(d)
-	ti.op2 = probe << opProbeShift
-	ti.pc = pc
-	b.code = append(b.code, ti)
+	b.code = append(b.code, tinstr{
+		kind: aluKind[d.Class], op2: flags,
+		rd: m.wregPtr(d.Rd), rs1: &m.Regs[d.Rs1], rs2: m.src2Reg(d),
+		imm: d.Imm, pc: pc,
+	})
 }
 
 // memReg resolves the register the memory op moves data through: the
@@ -1179,60 +966,22 @@ func (m *Machine) wregPtr(r isa.Reg) *int64 {
 	return &m.Regs[r]
 }
 
-// emitALU builds the op for a non-trapping, non-CTI instruction.
-// Register operands resolve to register-file pointers and immediates to
-// constants; the register/immediate variants get distinct kinds so their
-// dispatch cases are branch-free.
-func (m *Machine) emitALU(d *isa.Decoded) tinstr {
-	t := tinstr{
-		rd:  m.wregPtr(d.Rd),
-		rs1: &m.Regs[d.Rs1],
-		rs2: &m.Regs[d.Rs2],
-		imm: d.Imm,
+// src2Reg resolves the second operand's register, or nil for an
+// immediate, which keep points at the op's own imm.
+func (m *Machine) src2Reg(d *isa.Decoded) *int64 {
+	if d.Flags&isa.DFlagImm != 0 {
+		return nil
 	}
-	useImm := d.Flags&isa.DFlagImm != 0
-	// kind = base kind for the class; +1 selects the immediate variant.
-	variant := uint8(0)
-	if useImm {
-		variant = 1
-	}
-	switch d.Class {
-	case isa.ClAdd:
-		t.kind = tAddRR + variant
-	case isa.ClSub:
-		t.kind = tSubRR + variant
-	case isa.ClMul:
-		t.kind = tMulRR + variant
-	case isa.ClAnd:
-		t.kind = tAndRR + variant
-	case isa.ClOr:
-		t.kind = tOrRR + variant
-	case isa.ClXor:
-		t.kind = tXorRR + variant
-	case isa.ClSll:
-		t.kind = tSllRR + variant
-		t.aux = uint64(d.Imm) & 63
-	case isa.ClSrl:
-		t.kind = tSrlRR + variant
-		t.aux = uint64(d.Imm) & 63
-	case isa.ClSra:
-		t.kind = tSraRR + variant
-		t.aux = uint64(d.Imm) & 63
-	case isa.ClMovImm:
-		t.kind = tMov
-	case isa.ClSetHi:
-		if useImm {
-			// Never reached (Predecode rewrites to ClMovImm), but keep the
-			// semantics anyway.
-			t.kind = tMov
-			t.imm = d.Imm << isa.SetHiShift
-		} else {
-			t.kind = tSetHiR
-		}
-	case isa.ClCmp:
-		t.kind = tCmpRR + variant
-	}
-	return t
+	return &m.Regs[d.Rs2]
+}
+
+// aluKind maps a non-trapping, non-CTI class to its dispatch kind.
+// ClSetHi has a register operand: Predecode rewrites the immediate form
+// to ClMovImm.
+var aluKind = map[isa.Class]uint8{
+	isa.ClAdd: tAdd, isa.ClSub: tSub, isa.ClMul: tMul, isa.ClAnd: tAnd,
+	isa.ClOr: tOr, isa.ClXor: tXor, isa.ClSll: tSll, isa.ClSrl: tSrl,
+	isa.ClSra: tSra, isa.ClMovImm: tMov, isa.ClSetHi: tSetHi, isa.ClCmp: tCmp,
 }
 
 // branchKind maps a branch opcode to its dispatch kind.
@@ -1253,15 +1002,12 @@ func (m *Machine) emitCTI(d *isa.Decoded, pc uint64) tinstr {
 		return tinstr{kind: tCall, imm: d.Imm, pc: pc}
 	default: // ClJmpl
 		var op2 uint8
-		if d.Flags&isa.DFlagImm == 0 {
-			op2 |= opRegOff
-		}
 		if d.Flags&isa.DFlagRet != 0 {
 			op2 |= opJmplRet
 		}
 		return tinstr{
 			kind: tJmpl, op2: op2,
-			rd: m.wregPtr(d.Rd), rs1: &m.Regs[d.Rs1], rs2: &m.Regs[d.Rs2],
+			rd: m.wregPtr(d.Rd), rs1: &m.Regs[d.Rs1], rs2: m.src2Reg(d),
 			imm: d.Imm, pc: pc,
 		}
 	}

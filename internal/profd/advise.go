@@ -24,6 +24,7 @@ import (
 	"dsprof/internal/advisor"
 	"dsprof/internal/analyzer"
 	"dsprof/internal/core"
+	"dsprof/internal/experiment"
 )
 
 // AdviseSpec describes one advisor loop over the built-in MCF workload.
@@ -256,6 +257,20 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 	j.mu.Lock()
 	j.baseIDs = ids
 	j.mu.Unlock()
+
+	// A failed baseline run still profiles; refuse it, as core.Advise
+	// does, before it gets advice or its re-runs pass the output gate.
+	dirs, err := ad.store.Dirs(ids[:1])
+	if err != nil {
+		return err
+	}
+	metaA, err := experiment.ReadMeta(dirs[0])
+	if err != nil {
+		return err
+	}
+	if err := w.Check(metaA.Output); err != nil {
+		return fmt.Errorf("profd: baseline: %w", err)
+	}
 
 	a, err := ad.store.Analyzer(ids)
 	if err != nil {

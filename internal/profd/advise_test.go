@@ -2,6 +2,7 @@ package profd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"dsprof/internal/analyzer"
+	"dsprof/internal/collect"
 )
 
 // The advise endpoint: full closed loop over the service, and the
@@ -233,5 +235,46 @@ func TestAdviseBaselineStoreKeys(t *testing.T) {
 				t.Errorf("layout %q: baseline %c hash %s, want %s", tc.layout, "AB"[i], rec.Hash, tc.want[i])
 			}
 		}
+	}
+}
+
+// TestAdviseRefusesFailedBaseline: a baseline whose MCF run reports a
+// failure gets no advice and no validation runs, as in core.Advise. The
+// runner collects for real and then marks experiment A's status word
+// failed, so only the output check can refuse it.
+func TestAdviseRefusesFailedBaseline(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler(store, SchedulerConfig{
+		Workers: 2,
+		Runner: func(ctx context.Context, spec *JobSpec) (*collect.Result, error) {
+			res, err := runTinyJob(ctx, spec)
+			if err == nil && spec.Clock { // experiment A
+				res.Exp.Meta.Output[0] = 1 // MCF status: not optimal
+			}
+			return res, err
+		},
+	})
+	t.Cleanup(sched.Close)
+	j, err := NewAdviser(sched, store).Submit(AdviseSpec{Trips: 60, MachineConfig: "scaled", MaxRecs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(180 * time.Second):
+		t.Fatal("advise job did not finish")
+	}
+	st := j.Status()
+	if want := "baseline: mcf run failed with status 1"; st.State != JobFailed || !strings.Contains(st.Error, want) {
+		t.Fatalf("advise job %v (%q), want failed with %q", st.State, st.Error, want)
+	}
+	if st.Advice != nil || len(st.ValidationExps) != 0 {
+		t.Errorf("failed baseline still got advice %v and validation runs %v", st.Advice != nil, st.ValidationExps)
+	}
+	if n := store.Count(); n != 2 {
+		t.Errorf("store holds %d experiments, want the 2 baseline runs", n)
 	}
 }
