@@ -83,6 +83,9 @@ func runAdvice(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return cli.UsageError{Err: err}
 	}
+	if *topN < 0 {
+		return cli.Usagef("negative -n %d", *topN)
+	}
 	var dirs []string
 	for _, arg := range fs.Args() {
 		if strings.HasSuffix(arg, ".er") || dirExists(arg) {
@@ -144,6 +147,9 @@ func runLoop(args []string) error {
 	}
 	if *size < 0 {
 		return cli.Usagef("negative size %d", *size)
+	}
+	if *topN < 0 {
+		return cli.Usagef("negative -n %d", *topN)
 	}
 	if *size == 0 {
 		*size = w.DefaultSize

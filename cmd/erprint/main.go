@@ -73,6 +73,9 @@ func run() error {
 		version.Print(os.Stdout, "erprint")
 		return nil
 	}
+	if *topN < 0 {
+		return cli.Usagef("negative -n %d", *topN)
+	}
 
 	var reports []string
 	var dirs []string

@@ -27,16 +27,13 @@ func init() {
 }
 
 // reportOptions maps the generic render options onto advisor options.
-// TopN caps the recommendation list (the 0 = 20 default matches the
-// other top-N reports); sort order is ignored — recommendations are
+// TopN caps the recommendation list, with the dispatcher's default like
+// the other top-N reports; sort order is ignored — recommendations are
 // always ranked by score on the advisor's auto-picked metric, so the
 // report does not change shape with the caller's sort flag.
 func reportOptions(opts analyzer.RenderOpts) Options {
 	o := Options{}.withDefaults()
 	o.MaxRecs = opts.TopN
-	if o.MaxRecs == 0 {
-		o.MaxRecs = 20
-	}
 	return o
 }
 
@@ -76,8 +73,8 @@ func poolAnalyze(a *analyzer.Analyzer, opts analyzer.RenderOpts) (*Advice, error
 			pools = append(pools, r)
 		}
 	}
-	if max := reportOptions(opts).MaxRecs; max > 0 && len(pools) > max {
-		pools = pools[:max]
+	if len(pools) > opts.TopN {
+		pools = pools[:opts.TopN]
 	}
 	adv.Recs = pools
 	return adv, nil

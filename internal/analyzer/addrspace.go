@@ -289,11 +289,11 @@ func (a *Analyzer) SplitObjects(structName string) (SplitStats, error) {
 // References").
 func (a *Analyzer) EffectivenessReport(w io.Writer) {
 	fmt.Fprintf(w, "Apropos backtracking effectiveness (100%% - (Unresolvable) - (Unascertainable)):\n")
-	for _, ev := range a.columnSet() {
+	for _, ev := range a.Columns() {
 		if !ev.MemoryRelated() {
 			continue
 		}
-		fmt.Fprintf(w, "  %-12s %6.1f%%  (%d events)\n", evTitle(ev), 100*a.Effectiveness(ev), a.totalPerEv[ev])
+		fmt.Fprintf(w, "  %-12s %6.1f%%  (%d events)\n", ev.Title(), 100*a.Effectiveness(ev), a.totalPerEv[ev])
 	}
 }
 

@@ -119,10 +119,8 @@ type AEvent struct {
 	Val        Validation
 	Obj        ObjKey
 	Member     int32 // struct member index, -1 otherwise
-	Var        string
 	EA         uint64
 	HasEA      bool
-	Callstack  []uint64
 	Cycles     uint64 // machine time of delivery
 }
 
@@ -136,7 +134,8 @@ type memberKey struct {
 	member int32
 }
 
-// Analyzer is a loaded set of experiments over one program.
+// Analyzer is a loaded set of experiments over one program. It embeds
+// the aggregate its reduction merges every work unit's partial into.
 type Analyzer struct {
 	Exps []*experiment.Experiment
 	Prog *asm.Program
@@ -152,25 +151,12 @@ type Analyzer struct {
 	// a partially-recovered profile is never mistaken for a complete one.
 	Degraded []string
 
-	Events []AEvent
-
-	cfg          Config // reduction configuration (cache/keys for ReducePartial)
-	reduced      bool   // set once a reduction (local or from partials) ran
-	total        Metrics
-	totalLWP     float64 // seconds
-	totalSys     float64
-	byPC         map[uint64]*Metrics
-	byArtPC      map[uint64]*Metrics // artificial <branch target> attributions
-	byFunc       map[string]*Metrics
-	byFuncIncl   map[string]*Metrics
-	byLine       map[lineKey]*Metrics
-	byObj        map[ObjKey]*Metrics
-	byMember     map[memberKey]*Metrics
-	callerOf     map[string]map[string]*Metrics // callee -> caller -> metrics
-	calleeOf     map[string]map[string]*Metrics // caller -> callee -> metrics
-	eaEvents     []AEvent                       // events carrying effective addresses
-	totalPerEv   [hwc.NumEvents]uint64          // overflow counts per event
-	unknownPerEv [hwc.NumEvents]map[ObjKind]uint64
+	cfg      Config // reduction configuration (cache/keys for ReducePartial)
+	reduced  bool   // set once a reduction (local or from partials) ran
+	total    Metrics
+	totalLWP float64 // seconds
+	totalSys float64
+	partial
 }
 
 // New builds an analyzer over one or more experiments on the same
@@ -191,7 +177,6 @@ func NewWithConfig(cfg Config, exps ...*experiment.Experiment) (*Analyzer, error
 	if err := a.reduce(cfg); err != nil {
 		return nil, err
 	}
-	a.reduced = true
 	return a, nil
 }
 
@@ -207,22 +192,11 @@ func NewContext(cfg Config, exps ...*experiment.Experiment) (*Analyzer, error) {
 		return nil, fmt.Errorf("analyzer: no experiments")
 	}
 	a := &Analyzer{
-		Exps:       exps,
-		cfg:        cfg,
-		Prog:       exps[0].Prog,
-		Intervals:  make(map[hwc.Event]uint64),
-		byPC:       make(map[uint64]*Metrics),
-		byArtPC:    make(map[uint64]*Metrics),
-		byFunc:     make(map[string]*Metrics),
-		byFuncIncl: make(map[string]*Metrics),
-		byLine:     make(map[lineKey]*Metrics),
-		byObj:      make(map[ObjKey]*Metrics),
-		byMember:   make(map[memberKey]*Metrics),
-		callerOf:   make(map[string]map[string]*Metrics),
-		calleeOf:   make(map[string]map[string]*Metrics),
-	}
-	for i := range a.unknownPerEv {
-		a.unknownPerEv[i] = make(map[ObjKind]uint64)
+		Exps:      exps,
+		cfg:       cfg,
+		Prog:      exps[0].Prog,
+		Intervals: make(map[hwc.Event]uint64),
+		partial:   *newPartial(),
 	}
 	if a.Prog == nil || a.Prog.Debug == nil {
 		return nil, fmt.Errorf("analyzer: experiment carries no program/debug info")
@@ -275,12 +249,11 @@ func bumpMap[K comparable](mm map[K]*Metrics, k K, m *Metrics) {
 // the §2.3 validation logic.
 func (a *Analyzer) attribute(spec experiment.CounterSpec, he experiment.HWCEvent) AEvent {
 	ae := AEvent{
-		Event:     spec.Event,
-		Member:    -1,
-		EA:        he.EA,
-		HasEA:     he.HasEA,
-		Callstack: he.Callstack,
-		Cycles:    he.Cycles,
+		Event:  spec.Event,
+		Member: -1,
+		EA:     he.EA,
+		HasEA:  he.HasEA,
+		Cycles: he.Cycles,
 	}
 	if !spec.Backtrack || !spec.Event.MemoryRelated() {
 		ae.PC = he.DeliveredPC
@@ -359,14 +332,9 @@ func (a *Analyzer) objAt(pc uint64) ObjKey {
 	return ObjKey{Kind: OKScalars, Type: x.Type}
 }
 
-// fillMember copies member/var info from the xref for struct buckets.
+// fillMember copies the member index from the xref for struct buckets.
 func (a *Analyzer) fillMember(ae *AEvent) {
-	x, ok := a.Tab.Xrefs[ae.PC]
-	if !ok {
-		return
-	}
-	ae.Var = x.Var
-	if ae.Obj.Kind == OKStruct {
+	if x, ok := a.Tab.Xrefs[ae.PC]; ok && ae.Obj.Kind == OKStruct {
 		ae.Member = x.Member
 	}
 }

@@ -88,13 +88,26 @@ func analyzeEvents(t *testing.T, prog *asm.Program, backtrack bool, events []exp
 	return a
 }
 
+// attributeEvents reduces the events like analyzeEvents and returns each
+// event's attribution, re-derived through the analyzer's attribute.
+func attributeEvents(t *testing.T, prog *asm.Program, backtrack bool, events []experiment.HWCEvent) (*Analyzer, []AEvent) {
+	t.Helper()
+	a := analyzeEvents(t, prog, backtrack, events)
+	spec := a.Exps[0].Meta.Counters[0]
+	aes := make([]AEvent, len(events))
+	for i, he := range events {
+		aes[i] = a.attribute(spec, he)
+	}
+	return a, aes
+}
+
 func TestAttributeValidatedCandidate(t *testing.T) {
 	prog, node := synthProgram(true)
 	// Candidate at 0, delivered at 2: no branch target in (0, 2].
-	a := analyzeEvents(t, prog, true, []experiment.HWCEvent{
+	_, aes := attributeEvents(t, prog, true, []experiment.HWCEvent{
 		{DeliveredPC: pcAt(2), CandidatePC: pcAt(0), EA: 0x40000038, HasEA: true},
 	})
-	ae := a.Events[0]
+	ae := aes[0]
 	if ae.Val != VOK || ae.PC != pcAt(0) {
 		t.Fatalf("attribution = %+v", ae)
 	}
@@ -108,10 +121,10 @@ func TestAttributeArtificialBranchTarget(t *testing.T) {
 	// Candidate at 0, delivered at 4: pc 3 is a branch target inside the
 	// window, so the path is ambiguous — attribute to an artificial
 	// <branch target> PC at 3.
-	a := analyzeEvents(t, prog, true, []experiment.HWCEvent{
+	a, aes := attributeEvents(t, prog, true, []experiment.HWCEvent{
 		{DeliveredPC: pcAt(4), CandidatePC: pcAt(0)},
 	})
-	ae := a.Events[0]
+	ae := aes[0]
 	if ae.Val != VArtificialBT || !ae.Artificial || ae.PC != pcAt(3) {
 		t.Fatalf("attribution = %+v, want artificial BT at %#x", ae, pcAt(3))
 	}
@@ -139,10 +152,10 @@ func TestAttributeArtificialBranchTarget(t *testing.T) {
 func TestArtificialBranchTargetAtBlockEntry(t *testing.T) {
 	prog, _ := synthProgram(true)
 	prog.Debug.BranchTargets[pcAt(5)] = true // second join, after pcAt(3)
-	a := analyzeEvents(t, prog, true, []experiment.HWCEvent{
+	_, aes := attributeEvents(t, prog, true, []experiment.HWCEvent{
 		{DeliveredPC: pcAt(6), CandidatePC: pcAt(0)},
 	})
-	ae := a.Events[0]
+	ae := aes[0]
 	if ae.Val != VArtificialBT || !ae.Artificial {
 		t.Fatalf("attribution = %+v, want artificial BT", ae)
 	}
@@ -157,10 +170,10 @@ func TestArtificialBranchTargetAtBlockEntry(t *testing.T) {
 
 func TestAttributeNotFound(t *testing.T) {
 	prog, _ := synthProgram(true)
-	a := analyzeEvents(t, prog, true, []experiment.HWCEvent{
+	_, aes := attributeEvents(t, prog, true, []experiment.HWCEvent{
 		{DeliveredPC: pcAt(2), CandidatePC: 0}, // backtracking failed
 	})
-	ae := a.Events[0]
+	ae := aes[0]
 	if ae.Val != VNotFound || ae.Obj.Kind != OKUnresolvable || ae.PC != pcAt(2) {
 		t.Fatalf("attribution = %+v", ae)
 	}
@@ -168,10 +181,10 @@ func TestAttributeNotFound(t *testing.T) {
 
 func TestAttributeUnascertainable(t *testing.T) {
 	prog, _ := synthProgram(false) // module without -xhwcprof
-	a := analyzeEvents(t, prog, true, []experiment.HWCEvent{
+	a, aes := attributeEvents(t, prog, true, []experiment.HWCEvent{
 		{DeliveredPC: pcAt(2), CandidatePC: pcAt(0)},
 	})
-	ae := a.Events[0]
+	ae := aes[0]
 	if ae.Val != VNoHwcprof || ae.Obj.Kind != OKUnascertainable {
 		t.Fatalf("attribution = %+v", ae)
 	}
@@ -185,10 +198,10 @@ func TestAttributeUnverifiable(t *testing.T) {
 	// Strip the branch-target table but keep HWCProf: validation is
 	// impossible — (Unverifiable).
 	prog.Debug.BranchTargets = map[uint64]bool{}
-	a := analyzeEvents(t, prog, true, []experiment.HWCEvent{
+	_, aes := attributeEvents(t, prog, true, []experiment.HWCEvent{
 		{DeliveredPC: pcAt(2), CandidatePC: pcAt(0)},
 	})
-	ae := a.Events[0]
+	ae := aes[0]
 	if ae.Val != VUnverifiable || ae.Obj.Kind != OKUnverifiable {
 		t.Fatalf("attribution = %+v", ae)
 	}
@@ -196,38 +209,38 @@ func TestAttributeUnverifiable(t *testing.T) {
 
 func TestAttributeNoBacktrack(t *testing.T) {
 	prog, node := synthProgram(true)
-	a := analyzeEvents(t, prog, false, []experiment.HWCEvent{
+	_, aes := attributeEvents(t, prog, false, []experiment.HWCEvent{
 		// Delivered on a memory op with an xref: attributed there (often
 		// the wrong object — that is the ablation's point).
 		{DeliveredPC: pcAt(3)},
 		// Delivered on a non-memory op: (Unspecified).
 		{DeliveredPC: pcAt(1)},
 	})
-	if a.Events[0].Val != VNoBacktrack || a.Events[0].Obj.Type != node {
-		t.Fatalf("event 0 = %+v", a.Events[0])
+	if aes[0].Val != VNoBacktrack || aes[0].Obj.Type != node {
+		t.Fatalf("event 0 = %+v", aes[0])
 	}
-	if a.Events[1].Obj.Kind != OKUnspecified {
-		t.Fatalf("event 1 = %+v", a.Events[1])
+	if aes[1].Obj.Kind != OKUnspecified {
+		t.Fatalf("event 1 = %+v", aes[1])
 	}
 }
 
 func TestAttributeUnidentifiedTemporary(t *testing.T) {
 	prog, _ := synthProgram(true)
-	a := analyzeEvents(t, prog, true, []experiment.HWCEvent{
+	_, aes := attributeEvents(t, prog, true, []experiment.HWCEvent{
 		{DeliveredPC: pcAt(6), CandidatePC: pcAt(5)}, // spill-slot load
 	})
-	if a.Events[0].Obj.Kind != OKUnidentified {
-		t.Fatalf("attribution = %+v, want (Unidentified)", a.Events[0])
+	if aes[0].Obj.Kind != OKUnidentified {
+		t.Fatalf("attribution = %+v, want (Unidentified)", aes[0])
 	}
 }
 
 func TestAttributeUnspecified(t *testing.T) {
 	prog, _ := synthProgram(true)
-	a := analyzeEvents(t, prog, true, []experiment.HWCEvent{
+	_, aes := attributeEvents(t, prog, true, []experiment.HWCEvent{
 		{DeliveredPC: pcAt(7), CandidatePC: pcAt(6)}, // load with no xref
 	})
-	if a.Events[0].Obj.Kind != OKUnspecified {
-		t.Fatalf("attribution = %+v, want (Unspecified)", a.Events[0])
+	if aes[0].Obj.Kind != OKUnspecified {
+		t.Fatalf("attribution = %+v, want (Unspecified)", aes[0])
 	}
 }
 

@@ -68,7 +68,7 @@ func CompareReport(w io.Writer, before, after *Analyzer, s SortBy, n int) error 
 	}
 	metricName := "User CPU"
 	if !s.Clock {
-		metricName = evTitle(s.Ev)
+		metricName = s.Ev.Title()
 	}
 	fmt.Fprintf(w, "%-28s %14s %14s %9s\n", "Function ("+metricName+")", "before", "after", "change")
 	rows := CompareFunctions(before, after, s)

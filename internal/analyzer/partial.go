@@ -5,13 +5,14 @@ package analyzer
 // partial aggregate, so a reduction can span process (and machine)
 // boundaries. A worker node holding an experiment replica computes
 // partials locally (ReducePartial); a coordinator that built a context
-// over the same experiment set merges the shipped partials in canonical
-// unit order (ReduceFromPartials). Because the wire form preserves the
-// ordered event slices exactly and every map-shaped aggregate merges by
-// unsigned addition, the completed analyzer renders reports
-// byte-identical to the serial single-process reduction — the same
-// argument reduce.go makes for in-process parallelism, extended across
-// nodes.
+// over the same experiment set decodes the shipped partials and hands
+// them to the same completion step the local reduction ends in
+// (ReduceFromPartials). Because the wire form preserves the EA-event
+// list exactly and every map-shaped aggregate merges by unsigned
+// addition, the completed analyzer renders reports byte-identical to
+// the serial single-process reduction — the same argument reduce.go
+// makes for in-process parallelism, extended across nodes. The wire
+// form carries no other per-event list.
 
 import (
 	"bytes"
@@ -96,20 +97,20 @@ func (a *Analyzer) ReducePartial(r UnitRef) ([]byte, error) {
 	if err := a.checkRef(r); err != nil {
 		return nil, err
 	}
-	p := a.reduceUnit(a.unitFor(r, a.cfg), a.cfg.Cache)
-	if p.err != nil {
-		return nil, fmt.Errorf("analyzer: reducing unit %v: %w", r, p.err)
+	p, err := a.reduceUnit(a.unitFor(r, a.cfg), a.cfg.Cache)
+	if err != nil {
+		return nil, fmt.Errorf("analyzer: reducing unit %v: %w", r, err)
 	}
 	return encodePartial(p)
 }
 
 // ReduceFromPartials completes a context built by NewContext: wires[i]
-// must be the serialized partial for Units(a.Exps)[i]. The partials are
-// decoded and merged in canonical unit order, and the serial per-
-// experiment floating-point totals are accumulated exactly as the local
-// reduction does, so the finished analyzer's reports are byte-identical
-// to NewWithConfig over the same experiments — regardless of which
-// nodes computed which partials.
+// must be the serialized partial for Units(a.Exps)[i]. Every partial is
+// decoded and checked before any is merged, so a failed call leaves the
+// context untouched; the merge then runs through the local reduction's
+// completion step, so the finished analyzer's reports are
+// byte-identical to NewWithConfig over the same experiments —
+// regardless of which nodes computed which partials.
 func (a *Analyzer) ReduceFromPartials(wires [][]byte) error {
 	if a.reduced {
 		return fmt.Errorf("analyzer: already reduced")
@@ -118,13 +119,7 @@ func (a *Analyzer) ReduceFromPartials(wires [][]byte) error {
 	if len(wires) != len(refs) {
 		return fmt.Errorf("analyzer: %d partials for %d work units", len(wires), len(refs))
 	}
-	// Identical to reduce(): the only floating-point accumulation, done
-	// serially in experiment order so distribution cannot perturb
-	// rounding.
-	for _, e := range a.Exps {
-		a.totalLWP += float64(e.Meta.Stats.Cycles) / float64(a.ClockHz)
-		a.totalSys += float64(e.Meta.Stats.SyscallCycles) / float64(a.ClockHz)
-	}
+	parts := make([]*partial, len(wires))
 	for i, w := range wires {
 		p, err := decodePartial(w)
 		if err != nil {
@@ -143,15 +138,9 @@ func (a *Analyzer) ReduceFromPartials(wires [][]byte) error {
 					r, p.totalPerEv[ev], ev, want)
 			}
 		}
-		a.merge(p)
+		parts[i] = p
 	}
-	for _, m := range a.byPC {
-		a.total.Add(m)
-	}
-	for _, m := range a.byArtPC {
-		a.total.Add(m)
-	}
-	a.reduced = true
+	a.complete(parts)
 	return nil
 }
 
@@ -163,7 +152,7 @@ func (a *Analyzer) Reduced() bool { return a.reduced }
 
 // partialWireVersion guards the serialized layout; a coordinator and a
 // worker disagreeing on it fail loudly instead of merging garbage.
-const partialWireVersion = 1
+const partialWireVersion = 2
 
 type wirePC struct {
 	PC uint64
@@ -204,12 +193,11 @@ type wireUnknown struct {
 }
 
 // wirePartial is the exported (gob-encodable) mirror of partial. The
-// ordered slices are carried verbatim; the map aggregates are flattened
+// EA-event list is carried verbatim; the map aggregates are flattened
 // to key-sorted slices, which makes the encoding deterministic — two
 // nodes computing the same unit produce identical bytes.
 type wirePartial struct {
 	Version      int
-	Events       []AEvent
 	EAEvents     []AEvent
 	ByPC         []wirePC
 	ByArtPC      []wirePC
@@ -262,7 +250,6 @@ func flattenEdges(m map[string]map[string]*Metrics) []wireEdge {
 func encodePartial(p *partial) ([]byte, error) {
 	w := wirePartial{
 		Version:    partialWireVersion,
-		Events:     p.events,
 		EAEvents:   p.eaEvents,
 		ByPC:       flattenPC(p.byPC),
 		ByArtPC:    flattenPC(p.byArtPC),
@@ -333,7 +320,6 @@ func decodePartial(data []byte) (p *partial, err error) {
 		return nil, fmt.Errorf("partial wire version %d, want %d", w.Version, partialWireVersion)
 	}
 	p = newPartial()
-	p.events = w.Events
 	p.eaEvents = w.EAEvents
 	for _, e := range w.ByPC {
 		m := e.M

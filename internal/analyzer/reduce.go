@@ -5,17 +5,18 @@ package analyzer
 // experiment's clock stream, one per counter-event shard (experiment
 // format v2 stores shards on disk; eager experiments expose synthetic
 // shards over memory) — and N workers each build a private partial
-// aggregate over disjoint units. The partials are then merged in
-// deterministic unit order, which makes every report byte-identical to
-// the single-worker reduction:
+// aggregate over disjoint units. One completion step (complete) then
+// merges the partials into the analyzer's own aggregate in canonical
+// unit order, which makes every report byte-identical to the
+// single-worker reduction:
 //
-//   - the ordered outputs (Events, eaEvents) are concatenated in unit
-//     order, which is exactly the order the serial loop appends them;
+//   - the one ordered output, the EA-event list, is concatenated in unit
+//     order, which is exactly the order the serial loop appends it;
 //   - the map-shaped aggregates add uint64 weights, and integer
 //     addition is commutative and associative;
 //   - the only floating-point sums (total LWP/system seconds) are
-//     accumulated serially per experiment before the fan-out, so their
-//     rounding never depends on worker count.
+//     accumulated serially per experiment, so their rounding never
+//     depends on worker count.
 
 import (
 	"fmt"
@@ -76,23 +77,21 @@ type unit struct {
 	key    string // cache key; "" when the unit is not cacheable
 }
 
-// partial is one worker's private aggregate over a set of units'
-// events. Its fields mirror the Analyzer's aggregation state; merge
-// folds a partial into the analyzer without mutating it.
+// partial is one aggregate over a set of units' events: a worker's
+// private aggregate over one unit, and — embedded in the Analyzer — the
+// aggregate every unit's partial is merged into.
 type partial struct {
-	err          error
-	events       []AEvent
-	eaEvents     []AEvent
+	eaEvents     []AEvent // events carrying effective addresses
 	byPC         map[uint64]*Metrics
-	byArtPC      map[uint64]*Metrics
+	byArtPC      map[uint64]*Metrics // artificial <branch target> attributions
 	byFunc       map[string]*Metrics
 	byFuncIncl   map[string]*Metrics
 	byLine       map[lineKey]*Metrics
 	byObj        map[ObjKey]*Metrics
 	byMember     map[memberKey]*Metrics
-	callerOf     map[string]map[string]*Metrics
-	calleeOf     map[string]map[string]*Metrics
-	totalPerEv   [hwc.NumEvents]uint64
+	callerOf     map[string]map[string]*Metrics // callee -> caller -> metrics
+	calleeOf     map[string]map[string]*Metrics // caller -> callee -> metrics
+	totalPerEv   [hwc.NumEvents]uint64          // overflow counts per event
 	unknownPerEv [hwc.NumEvents]map[ObjKind]uint64
 }
 
@@ -200,10 +199,10 @@ func (a *Analyzer) unitFor(r UnitRef, cfg Config) unit {
 
 // reduceUnit builds (or fetches from the cache) the partial aggregate
 // for one unit.
-func (a *Analyzer) reduceUnit(u unit, cache PartialCache) *partial {
+func (a *Analyzer) reduceUnit(u unit, cache PartialCache) (*partial, error) {
 	if cache != nil && u.key != "" {
 		if sp, ok := cache.Get(u.key); ok && sp != nil && sp.p != nil {
-			return sp.p
+			return sp.p, nil
 		}
 	}
 	p := newPartial()
@@ -218,17 +217,14 @@ func (a *Analyzer) reduceUnit(u unit, cache PartialCache) *partial {
 		spec := e.Meta.Counters[u.pic]
 		evs, err := e.ReadShard(u.pic, u.shard)
 		if err != nil {
-			p.err = err
-			return p
+			return nil, err
 		}
-		p.events = slices.Grow(p.events, len(evs))
 		p.eaEvents = slices.Grow(p.eaEvents, len(evs))
 		for _, he := range evs {
 			ae := a.attribute(spec, he)
-			p.events = append(p.events, ae)
 			var m Metrics
 			m.Events[spec.Event] = 1
-			p.accumulate(a, ae.PC, ae.Artificial, &m, ae.Callstack)
+			p.accumulate(a, ae.PC, ae.Artificial, &m, he.Callstack)
 			bumpMap(p.byObj, ae.Obj, &m)
 			if ae.Obj.Kind == OKStruct && ae.Member >= 0 {
 				bumpMap(p.byMember, memberKey{ae.Obj.Type, ae.Member}, &m)
@@ -242,63 +238,61 @@ func (a *Analyzer) reduceUnit(u unit, cache PartialCache) *partial {
 			}
 		}
 	}
-	if cache != nil && u.key != "" && p.err == nil {
+	if cache != nil && u.key != "" {
 		cache.Put(u.key, &ShardPartial{p: p})
 	}
-	return p
+	return p, nil
 }
 
-// merge folds one partial into the analyzer's aggregates. p is never
-// mutated (cached partials are shared between analyzers). Map merges
-// add unsigned integer weights, so merge order cannot change any value;
-// the ordered slices are appended in canonical unit order by the
-// caller.
-func (a *Analyzer) merge(p *partial) {
-	a.Events = append(a.Events, p.events...)
-	a.eaEvents = append(a.eaEvents, p.eaEvents...)
-	for k, m := range p.byPC {
-		bumpMap(a.byPC, k, m)
+// merge folds src into p. src is never mutated (cached partials are
+// shared between analyzers). Map merges add unsigned integer weights,
+// so merge order cannot change any value; the EA-event list is
+// appended in canonical unit order by the caller.
+func (p *partial) merge(src *partial) {
+	p.eaEvents = append(p.eaEvents, src.eaEvents...)
+	for k, m := range src.byPC {
+		bumpMap(p.byPC, k, m)
 	}
-	for k, m := range p.byArtPC {
-		bumpMap(a.byArtPC, k, m)
+	for k, m := range src.byArtPC {
+		bumpMap(p.byArtPC, k, m)
 	}
-	for k, m := range p.byFunc {
-		bumpMap(a.byFunc, k, m)
+	for k, m := range src.byFunc {
+		bumpMap(p.byFunc, k, m)
 	}
-	for k, m := range p.byFuncIncl {
-		bumpMap(a.byFuncIncl, k, m)
+	for k, m := range src.byFuncIncl {
+		bumpMap(p.byFuncIncl, k, m)
 	}
-	for k, m := range p.byLine {
-		bumpMap(a.byLine, k, m)
+	for k, m := range src.byLine {
+		bumpMap(p.byLine, k, m)
 	}
-	for k, m := range p.byObj {
-		bumpMap(a.byObj, k, m)
+	for k, m := range src.byObj {
+		bumpMap(p.byObj, k, m)
 	}
-	for k, m := range p.byMember {
-		bumpMap(a.byMember, k, m)
+	for k, m := range src.byMember {
+		bumpMap(p.byMember, k, m)
 	}
-	for callee, callers := range p.callerOf {
-		if a.callerOf[callee] == nil {
-			a.callerOf[callee] = make(map[string]*Metrics, len(callers))
+	for callee, callers := range src.callerOf {
+		if p.callerOf[callee] == nil {
+			p.callerOf[callee] = make(map[string]*Metrics, len(callers))
 		}
 		for caller, m := range callers {
-			bumpMap(a.callerOf[callee], caller, m)
+			bumpMap(p.callerOf[callee], caller, m)
 		}
 	}
-	for caller, callees := range p.calleeOf {
-		if a.calleeOf[caller] == nil {
-			a.calleeOf[caller] = make(map[string]*Metrics, len(callees))
+	for caller, callees := range src.calleeOf {
+		if p.calleeOf[caller] == nil {
+			p.calleeOf[caller] = make(map[string]*Metrics, len(callees))
 		}
 		for callee, m := range callees {
-			bumpMap(a.calleeOf[caller], callee, m)
+			bumpMap(p.calleeOf[caller], callee, m)
 		}
 	}
-	for ev := range p.totalPerEv {
-		a.totalPerEv[ev] += p.totalPerEv[ev]
+	for ev := range src.totalPerEv {
+		p.totalPerEv[ev] += src.totalPerEv[ev]
 	}
-	for ev := range p.unknownPerEv {
-		for k, n := range p.unknownPerEv[ev] {
-			a.unknownPerEv[ev][k] += n
+	for ev := range src.unknownPerEv {
+		for k, n := range src.unknownPerEv[ev] {
+			p.unknownPerEv[ev][k] += n
 		}
 	}
 }
@@ -316,19 +310,11 @@ func defaultWorkers() int {
 }
 
 // reduce performs the full data reduction: fan the work units out to
-// cfg.Workers workers, then merge the partials in canonical order.
+// cfg.Workers workers, then complete the analyzer from their partials.
 func (a *Analyzer) reduce(cfg Config) error {
-	// The only floating-point accumulation happens here, serially in
-	// experiment order, so worker count can never perturb rounding.
-	// LWP/system time comes from the run's statistics: the analyzer
-	// displays them in the <Total> header like the paper's Figure 1.
-	for _, e := range a.Exps {
-		a.totalLWP += float64(e.Meta.Stats.Cycles) / float64(a.ClockHz)
-		a.totalSys += float64(e.Meta.Stats.SyscallCycles) / float64(a.ClockHz)
-	}
-
 	units := a.units(cfg)
 	parts := make([]*partial, len(units))
+	errs := make([]error, len(units))
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = defaultWorkers()
@@ -339,7 +325,7 @@ func (a *Analyzer) reduce(cfg Config) error {
 	if workers <= 1 {
 		// Serial reference path: one unit at a time, in order.
 		for i, u := range units {
-			parts[i] = a.reduceUnit(u, cfg.Cache)
+			parts[i], errs[i] = a.reduceUnit(u, cfg.Cache)
 		}
 	} else {
 		var next atomic.Int64
@@ -354,34 +340,47 @@ func (a *Analyzer) reduce(cfg Config) error {
 					if i >= len(units) {
 						return
 					}
-					parts[i] = a.reduceUnit(units[i], cfg.Cache)
+					parts[i], errs[i] = a.reduceUnit(units[i], cfg.Cache)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	for _, p := range parts {
-		if p.err != nil {
-			return fmt.Errorf("analyzer: reducing events: %w", p.err)
+	for _, err := range errs {
+		if err != nil {
+			return fmt.Errorf("analyzer: reducing events: %w", err)
 		}
 	}
-	var nev, nea int
+	a.complete(parts)
+	return nil
+}
+
+// complete is the one finishing step of every reduction, local or from
+// shipped partials: parts[i] is the partial of the i-th canonical unit.
+func (a *Analyzer) complete(parts []*partial) {
+	// The only floating-point accumulation happens here, serially in
+	// experiment order, so worker count or distribution can never
+	// perturb rounding. LWP/system time comes from the run's statistics:
+	// the analyzer displays them in the <Total> header like the paper's
+	// Figure 1.
+	for _, e := range a.Exps {
+		a.totalLWP += float64(e.Meta.Stats.Cycles) / float64(a.ClockHz)
+		a.totalSys += float64(e.Meta.Stats.SyscallCycles) / float64(a.ClockHz)
+	}
+	var nea int
 	for _, p := range parts {
-		nev += len(p.events)
 		nea += len(p.eaEvents)
 	}
-	a.Events = slices.Grow(a.Events, nev)
 	a.eaEvents = slices.Grow(a.eaEvents, nea)
 	for _, p := range parts {
 		a.merge(p)
 	}
-	// <Total> row: LWP seconds are known; total metric weight is the sum
-	// over all attributed weight.
+	// <Total> row: the sum over all attributed weight.
 	for _, m := range a.byPC {
 		a.total.Add(m)
 	}
 	for _, m := range a.byArtPC {
 		a.total.Add(m)
 	}
-	return nil
+	a.reduced = true
 }

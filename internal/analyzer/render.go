@@ -3,7 +3,9 @@ package analyzer
 // render.go is the named-report entry point shared by every report
 // consumer — cmd/erprint's command tokens and internal/profd's HTTP
 // report endpoints dispatch through Render, so the two surfaces are
-// byte-identical by construction.
+// byte-identical by construction. Every report, built-in or contributed
+// by another package, is one entry in one registry; the dispatcher
+// looks it up and fills the render options' defaults once.
 
 import (
 	"fmt"
@@ -21,7 +23,8 @@ type RenderOpts struct {
 	// analyzer's natural default: User CPU time when clock profiles are
 	// present, otherwise the first collected counter event.
 	Sort *SortBy
-	// TopN limits pcs/lines/addrspace rows (0 = the er_print default, 20).
+	// TopN limits the rows of top-N reports (≤ 0 = the er_print
+	// default, 20).
 	TopN int
 	// FeedbackMinShare is the feedback report's inclusion threshold
 	// (0 = the default, 0.01).
@@ -43,150 +46,162 @@ func (a *Analyzer) DefaultSort() SortBy {
 	return ByEvent(hwc.EvCycles)
 }
 
-func (o RenderOpts) normalize(a *Analyzer) (SortBy, int, float64) {
-	s := a.DefaultSort()
-	if o.Sort != nil {
-		s = *o.Sort
+// withDefaults fills every option a report reads, so renderers never
+// apply defaults of their own: the sort, TopN ≤ 0 → 20 and a feedback
+// share of 0 → 0.01.
+func (o RenderOpts) withDefaults(a *Analyzer) RenderOpts {
+	if o.Sort == nil {
+		s := a.DefaultSort()
+		o.Sort = &s
 	}
-	n := o.TopN
-	if n == 0 {
-		n = 20
+	if o.TopN <= 0 {
+		o.TopN = 20
 	}
-	min := o.FeedbackMinShare
-	if min == 0 {
-		min = 0.01
+	if o.FeedbackMinShare == 0 {
+		o.FeedbackMinShare = 0.01
 	}
-	return s, n, min
+	return o
 }
 
-// reportInfo describes one named report.
-type reportInfo struct {
-	name     string
-	needsArg bool
-	desc     string
-}
-
-// reportTable is the registry of every report the analyzer renders, in
-// presentation order (the paper's figure order).
-var reportTable = []reportInfo{
-	{"total", false, "<Total> metrics (paper Figure 1)"},
-	{"functions", false, "the function list (Figure 2)"},
-	{"source", true, "source=FN: annotated source of function FN (Figure 3)"},
-	{"disasm", true, "disasm=FN: annotated disassembly of FN (Figure 4)"},
-	{"pcs", false, "hot PCs with data-object descriptors (Figure 5)"},
-	{"lines", false, "hot source lines"},
-	{"objects", false, "data objects (Figure 6)"},
-	{"members", true, "members=T: struct T member expansion (Figure 7)"},
-	{"callers", true, "callers=FN: callers/callees of FN"},
-	{"addrspace", false, "segment/page/cache-line breakdown (paper §4)"},
-	{"feedback", false, "prefetch feedback file (paper §4)"},
-	{"effect", false, "apropos backtracking effectiveness"},
-}
-
-// RegisteredReport is a report contributed by another package through
-// RegisterReport — the extension point that lets subsystems built on top
-// of the analyzer (e.g. internal/advisor's "advice" report) plug into
-// the same dispatcher erprint and profd share, so their output stays
+// RegisteredReport is one named report of the registry. The analyzer's
+// own reports are entries like any other; RegisterReport is the
+// extension point that lets subsystems built on top of the analyzer
+// (e.g. internal/advisor's "advice" report) plug into the same
+// dispatcher erprint and profd share, so their output stays
 // byte-identical across every consumer without an import cycle.
 type RegisteredReport struct {
 	Name     string
 	NeedsArg bool
 	Desc     string
 	// Text renders the report; it must be deterministic for fixed
-	// experiments and options.
+	// experiments and options. The dispatcher passes options with every
+	// default filled in.
 	Text func(a *Analyzer, w io.Writer, arg string, opts RenderOpts) error
 	// JSON returns the report as a JSON-marshallable value; nil means
 	// the report only exists as rendered text.
 	JSON func(a *Analyzer, arg string, opts RenderOpts) (any, error)
 }
 
+// reports is the registry, in presentation order: the analyzer's own
+// reports in the paper's figure order, then registered extensions in
+// registration order.
 var (
-	extraMu      sync.RWMutex
-	extraReports []RegisteredReport
+	reportsMu sync.RWMutex
+	reports   = []RegisteredReport{
+		{Name: "total", Desc: "<Total> metrics (paper Figure 1)", JSON: totalJSON,
+			Text: func(a *Analyzer, w io.Writer, _ string, _ RenderOpts) error {
+				a.TotalReport(w)
+				return nil
+			}},
+		{Name: "functions", Desc: "the function list (Figure 2)", JSON: functionsJSON,
+			Text: func(a *Analyzer, w io.Writer, _ string, o RenderOpts) error {
+				a.FunctionList(w, *o.Sort)
+				return nil
+			}},
+		{Name: "source", NeedsArg: true, Desc: "source=FN: annotated source of function FN (Figure 3)",
+			Text: func(a *Analyzer, w io.Writer, fn string, _ RenderOpts) error { return a.AnnotatedSource(w, fn) }},
+		{Name: "disasm", NeedsArg: true, Desc: "disasm=FN: annotated disassembly of FN (Figure 4)",
+			Text: func(a *Analyzer, w io.Writer, fn string, _ RenderOpts) error { return a.AnnotatedDisasm(w, fn) }},
+		{Name: "pcs", Desc: "hot PCs with data-object descriptors (Figure 5)", JSON: pcsJSON,
+			Text: func(a *Analyzer, w io.Writer, _ string, o RenderOpts) error {
+				a.PCList(w, *o.Sort, o.TopN)
+				return nil
+			}},
+		{Name: "lines", Desc: "hot source lines", JSON: linesJSON,
+			Text: func(a *Analyzer, w io.Writer, _ string, o RenderOpts) error {
+				a.LineList(w, *o.Sort, o.TopN)
+				return nil
+			}},
+		{Name: "objects", Desc: "data objects (Figure 6)", JSON: objectsJSON,
+			Text: func(a *Analyzer, w io.Writer, _ string, o RenderOpts) error {
+				a.DataObjectList(w, *o.Sort)
+				return nil
+			}},
+		{Name: "members", NeedsArg: true, Desc: "members=T: struct T member expansion (Figure 7)", JSON: membersJSON,
+			Text: func(a *Analyzer, w io.Writer, t string, _ RenderOpts) error { return a.MemberList(w, t) }},
+		{Name: "callers", NeedsArg: true, Desc: "callers=FN: callers/callees of FN",
+			Text: func(a *Analyzer, w io.Writer, fn string, _ RenderOpts) error {
+				a.CallersCalleesReport(w, fn)
+				return nil
+			}},
+		{Name: "addrspace", Desc: "segment/page/cache-line breakdown (paper §4)",
+			Text: func(a *Analyzer, w io.Writer, _ string, o RenderOpts) error {
+				a.AddressSpaceReport(w, *o.Sort, o.TopN)
+				return nil
+			}},
+		{Name: "feedback", Desc: "prefetch feedback file (paper §4)",
+			Text: func(a *Analyzer, w io.Writer, _ string, o RenderOpts) error {
+				a.WriteFeedbackFile(w, o.FeedbackMinShare)
+				return nil
+			}},
+		{Name: "effect", Desc: "apropos backtracking effectiveness", JSON: effectJSON,
+			Text: func(a *Analyzer, w io.Writer, _ string, _ RenderOpts) error {
+				a.EffectivenessReport(w)
+				return nil
+			}},
+	}
 )
 
-// RegisterReport adds a report to the registry, after the built-ins.
-// Registration normally happens from the providing package's init; a
-// duplicate or malformed registration panics, since it is a programming
-// error that would silently shadow an existing report.
+// RegisterReport appends a report to the registry. Registration
+// normally happens from the providing package's init; a duplicate or
+// malformed registration panics, since it is a programming error that
+// would silently shadow an existing report.
 func RegisterReport(r RegisteredReport) {
 	if r.Name == "" || r.Text == nil {
 		panic("analyzer: RegisterReport needs a name and a Text renderer")
 	}
-	extraMu.Lock()
-	defer extraMu.Unlock()
-	if builtinReport(r.Name) != nil || lookupExtraLocked(r.Name) != nil {
-		panic(fmt.Sprintf("analyzer: report %q registered twice", r.Name))
-	}
-	extraReports = append(extraReports, r)
-}
-
-func builtinReport(name string) *reportInfo {
-	for i := range reportTable {
-		if reportTable[i].name == name {
-			return &reportTable[i]
+	reportsMu.Lock()
+	defer reportsMu.Unlock()
+	for _, have := range reports {
+		if have.Name == r.Name {
+			panic(fmt.Sprintf("analyzer: report %q registered twice", r.Name))
 		}
 	}
-	return nil
+	reports = append(reports, r)
 }
 
-func lookupExtraLocked(name string) *RegisteredReport {
-	for i := range extraReports {
-		if extraReports[i].Name == name {
-			return &extraReports[i]
+// lookupReport returns the report named name.
+func lookupReport(name string) (RegisteredReport, bool) {
+	reportsMu.RLock()
+	defer reportsMu.RUnlock()
+	for _, r := range reports {
+		if r.Name == name {
+			return r, true
 		}
 	}
-	return nil
+	return RegisteredReport{}, false
 }
 
-// registeredReport returns the extension report named name, or nil.
-func registeredReport(name string) *RegisteredReport {
-	extraMu.RLock()
-	defer extraMu.RUnlock()
-	return lookupExtraLocked(name)
-}
-
-// ReportNames lists every valid report name, in presentation order
-// (built-ins first, then registered extensions in registration order).
+// ReportNames lists every valid report name, in presentation order.
 func ReportNames() []string {
-	names := make([]string, 0, len(reportTable))
-	for _, r := range reportTable {
-		names = append(names, r.name)
-	}
-	extraMu.RLock()
-	defer extraMu.RUnlock()
-	for _, r := range extraReports {
+	reportsMu.RLock()
+	defer reportsMu.RUnlock()
+	names := make([]string, 0, len(reports))
+	for _, r := range reports {
 		names = append(names, r.Name)
 	}
 	return names
 }
 
 // ValidReport reports whether name (without any =ARG suffix) names a
-// known report, built-in or registered.
+// registered report.
 func ValidReport(name string) bool {
-	if builtinReport(name) != nil {
-		return true
-	}
-	return registeredReport(name) != nil
+	_, ok := lookupReport(name)
+	return ok
 }
 
 // ReportUsage renders the one-line-per-report help listing used by
 // erprint's usage text and profd's error responses.
 func ReportUsage() string {
+	reportsMu.RLock()
+	defer reportsMu.RUnlock()
 	var b strings.Builder
-	line := func(name string, needsArg bool, desc string) {
-		if needsArg {
+	for _, r := range reports {
+		name := r.Name
+		if r.NeedsArg {
 			name += "=ARG"
 		}
-		fmt.Fprintf(&b, "  %-12s %s\n", name, desc)
-	}
-	for _, r := range reportTable {
-		line(r.name, r.needsArg, r.desc)
-	}
-	extraMu.RLock()
-	defer extraMu.RUnlock()
-	for _, r := range extraReports {
-		line(r.Name, r.NeedsArg, r.Desc)
+		fmt.Fprintf(&b, "  %-12s %s\n", name, r.Desc)
 	}
 	return b.String()
 }
@@ -206,39 +221,31 @@ func SplitReport(token string) (name, arg string) {
 // ValidReport and still handle argument errors here.
 func (a *Analyzer) Render(w io.Writer, report string, opts RenderOpts) error {
 	name, arg := SplitReport(report)
-	sortBy, topN, minShare := opts.normalize(a)
-	switch name {
-	case "total":
-		a.TotalReport(w)
-	case "functions":
-		a.FunctionList(w, sortBy)
-	case "source":
-		return a.AnnotatedSource(w, arg)
-	case "disasm":
-		return a.AnnotatedDisasm(w, arg)
-	case "pcs":
-		a.PCList(w, sortBy, topN)
-	case "lines":
-		a.LineList(w, sortBy, topN)
-	case "objects":
-		a.DataObjectList(w, sortBy)
-	case "members":
-		return a.MemberList(w, arg)
-	case "callers":
-		a.CallersCalleesReport(w, arg)
-	case "addrspace":
-		a.AddressSpaceReport(w, sortBy, topN)
-	case "effect":
-		a.EffectivenessReport(w)
-	case "feedback":
-		a.WriteFeedbackFile(w, minShare)
-	default:
-		if r := registeredReport(name); r != nil {
-			return r.Text(a, w, arg, opts)
-		}
-		return fmt.Errorf("analyzer: unknown report %q; valid reports:\n%s", name, ReportUsage())
+	r, ok := lookupReport(name)
+	if !ok {
+		return unknownReport(name)
 	}
-	return nil
+	return r.Text(a, w, arg, opts.withDefaults(a))
+}
+
+// RenderJSON returns the named report as a JSON-marshallable value, for
+// reports with a natural row structure. Reports that only exist as
+// rendered text (annotated source/disassembly, the feedback file)
+// return an error directing callers to the text rendering.
+func (a *Analyzer) RenderJSON(report string, opts RenderOpts) (any, error) {
+	name, arg := SplitReport(report)
+	r, ok := lookupReport(name)
+	if !ok {
+		return nil, unknownReport(name)
+	}
+	if r.JSON == nil {
+		return nil, fmt.Errorf("analyzer: report %q has no JSON rendering; request the text format", name)
+	}
+	return r.JSON(a, arg, opts.withDefaults(a))
+}
+
+func unknownReport(name string) error {
+	return fmt.Errorf("analyzer: unknown report %q; valid reports:\n%s", name, ReportUsage())
 }
 
 // --- JSON renderings ---
@@ -269,7 +276,7 @@ func (a *Analyzer) metricsJSON(m *Metrics) MetricsJSON {
 		out.Ticks = m.Ticks
 		out.UserCPUSec = a.TickSeconds(m.Ticks)
 	}
-	for _, ev := range a.columnSet() {
+	for _, ev := range a.Columns() {
 		n := m.Events[ev]
 		e := EventJSON{Overflows: n, Count: a.Count(ev, n)}
 		if ev.CountsCycles() {
@@ -283,106 +290,100 @@ func (a *Analyzer) metricsJSON(m *Metrics) MetricsJSON {
 	return out
 }
 
-// RenderJSON returns the named report as a JSON-marshallable value, for
-// reports with a natural row structure. Reports that only exist as
-// rendered text (annotated source/disassembly, the feedback file)
-// return an error directing callers to the text rendering.
-func (a *Analyzer) RenderJSON(report string, opts RenderOpts) (any, error) {
-	name, arg := SplitReport(report)
-	sortBy, topN, _ := opts.normalize(a)
-	rows := func(n int) []NamedRowJSON { return make([]NamedRowJSON, 0, n) }
-	switch name {
-	case "total":
-		out := map[string]any{"total": a.metricsJSON(&a.total)}
-		if len(a.Degraded) > 0 {
-			out["warnings"] = a.Degraded
-		}
-		return out, nil
-	case "functions":
-		out := rows(0)
-		for _, r := range a.Functions(sortBy) {
-			out = append(out, NamedRowJSON{Name: r.Name, M: a.metricsJSON(&r.M)})
-		}
-		return map[string]any{"functions": out}, nil
-	case "objects":
-		out := rows(0)
-		for _, r := range a.DataObjects(sortBy) {
-			out = append(out, NamedRowJSON{Name: r.Name, M: a.metricsJSON(&r.M)})
-		}
-		return map[string]any{"objects": out}, nil
-	case "members":
-		id, ty := a.Tab.TypeByName(arg)
-		if ty == nil {
-			return nil, fmt.Errorf("analyzer: no struct type %q", arg)
-		}
-		type memberJSON struct {
-			Offset int64       `json:"offset"`
-			Name   string      `json:"name"`
-			M      MetricsJSON `json:"metrics"`
-		}
-		var out []memberJSON
-		for _, r := range a.Members(id) {
-			out = append(out, memberJSON{Offset: r.Off, Name: r.Name, M: a.metricsJSON(&r.M)})
-		}
-		total := a.ObjMetrics(id)
-		return map[string]any{
-			"struct":  ty.Name,
-			"total":   a.metricsJSON(&total),
-			"members": out,
-		}, nil
-	case "pcs":
-		type pcJSON struct {
-			PC         string      `json:"pc"`
-			Name       string      `json:"name"`
-			Artificial bool        `json:"artificial,omitempty"`
-			Object     string      `json:"object,omitempty"`
-			M          MetricsJSON `json:"metrics"`
-		}
-		var out []pcJSON
-		for _, r := range a.PCs(sortBy, topN) {
-			row := pcJSON{
-				PC:         fmt.Sprintf("0x%08x", r.PC),
-				Name:       a.PCName(r.PC, r.Artificial),
-				Artificial: r.Artificial,
-				M:          a.metricsJSON(&r.M),
-			}
-			if x, ok := a.Tab.Xrefs[r.PC]; ok && !r.Artificial {
-				row.Object = a.Tab.XrefDisplay(x)
-			}
-			out = append(out, row)
-		}
-		return map[string]any{"pcs": out}, nil
-	case "lines":
-		type lineJSON struct {
-			File string      `json:"file"`
-			Line int32       `json:"line"`
-			M    MetricsJSON `json:"metrics"`
-		}
-		var out []lineJSON
-		for _, r := range a.Lines(sortBy, topN) {
-			out = append(out, lineJSON{File: r.File, Line: r.Line, M: a.metricsJSON(&r.M)})
-		}
-		return map[string]any{"lines": out}, nil
-	case "effect":
-		out := map[string]float64{}
-		evs := make([]hwc.Event, 0, len(a.Intervals))
-		for ev := range a.Intervals {
-			evs = append(evs, ev)
-		}
-		sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
-		for _, ev := range evs {
-			if ev.MemoryRelated() {
-				out[ev.String()] = a.Effectiveness(ev)
-			}
-		}
-		return map[string]any{"effectiveness": out}, nil
-	default:
-		if r := registeredReport(name); r != nil && r.JSON != nil {
-			return r.JSON(a, arg, opts)
-		}
-		if !ValidReport(name) {
-			return nil, fmt.Errorf("analyzer: unknown report %q; valid reports:\n%s", name, ReportUsage())
-		}
-		return nil, fmt.Errorf("analyzer: report %q has no JSON rendering; request the text format", name)
+func totalJSON(a *Analyzer, _ string, _ RenderOpts) (any, error) {
+	out := map[string]any{"total": a.metricsJSON(&a.total)}
+	if len(a.Degraded) > 0 {
+		out["warnings"] = a.Degraded
 	}
+	return out, nil
+}
+
+func functionsJSON(a *Analyzer, _ string, o RenderOpts) (any, error) {
+	out := []NamedRowJSON{}
+	for _, r := range a.Functions(*o.Sort) {
+		out = append(out, NamedRowJSON{Name: r.Name, M: a.metricsJSON(&r.M)})
+	}
+	return map[string]any{"functions": out}, nil
+}
+
+func objectsJSON(a *Analyzer, _ string, o RenderOpts) (any, error) {
+	out := []NamedRowJSON{}
+	for _, r := range a.DataObjects(*o.Sort) {
+		out = append(out, NamedRowJSON{Name: r.Name, M: a.metricsJSON(&r.M)})
+	}
+	return map[string]any{"objects": out}, nil
+}
+
+func membersJSON(a *Analyzer, arg string, _ RenderOpts) (any, error) {
+	id, ty := a.Tab.TypeByName(arg)
+	if ty == nil {
+		return nil, fmt.Errorf("analyzer: no struct type %q", arg)
+	}
+	type memberJSON struct {
+		Offset int64       `json:"offset"`
+		Name   string      `json:"name"`
+		M      MetricsJSON `json:"metrics"`
+	}
+	var out []memberJSON
+	for _, r := range a.Members(id) {
+		out = append(out, memberJSON{Offset: r.Off, Name: r.Name, M: a.metricsJSON(&r.M)})
+	}
+	total := a.ObjMetrics(id)
+	return map[string]any{
+		"struct":  ty.Name,
+		"total":   a.metricsJSON(&total),
+		"members": out,
+	}, nil
+}
+
+func pcsJSON(a *Analyzer, _ string, o RenderOpts) (any, error) {
+	type pcJSON struct {
+		PC         string      `json:"pc"`
+		Name       string      `json:"name"`
+		Artificial bool        `json:"artificial,omitempty"`
+		Object     string      `json:"object,omitempty"`
+		M          MetricsJSON `json:"metrics"`
+	}
+	var out []pcJSON
+	for _, r := range a.PCs(*o.Sort, o.TopN) {
+		row := pcJSON{
+			PC:         fmt.Sprintf("0x%08x", r.PC),
+			Name:       a.PCName(r.PC, r.Artificial),
+			Artificial: r.Artificial,
+			M:          a.metricsJSON(&r.M),
+		}
+		if x, ok := a.Tab.Xrefs[r.PC]; ok && !r.Artificial {
+			row.Object = a.Tab.XrefDisplay(x)
+		}
+		out = append(out, row)
+	}
+	return map[string]any{"pcs": out}, nil
+}
+
+func linesJSON(a *Analyzer, _ string, o RenderOpts) (any, error) {
+	type lineJSON struct {
+		File string      `json:"file"`
+		Line int32       `json:"line"`
+		M    MetricsJSON `json:"metrics"`
+	}
+	var out []lineJSON
+	for _, r := range a.Lines(*o.Sort, o.TopN) {
+		out = append(out, lineJSON{File: r.File, Line: r.Line, M: a.metricsJSON(&r.M)})
+	}
+	return map[string]any{"lines": out}, nil
+}
+
+func effectJSON(a *Analyzer, _ string, _ RenderOpts) (any, error) {
+	out := map[string]float64{}
+	evs := make([]hwc.Event, 0, len(a.Intervals))
+	for ev := range a.Intervals {
+		evs = append(evs, ev)
+	}
+	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
+	for _, ev := range evs {
+		if ev.MemoryRelated() {
+			out[ev.String()] = a.Effectiveness(ev)
+		}
+	}
+	return map[string]any{"effectiveness": out}, nil
 }

@@ -50,16 +50,13 @@ func (a *Analyzer) TotalReport(w io.Writer) {
 		fmt.Fprintf(w, "%-36s %12.3f secs.\n", "Exclusive User CPU Time:", a.TickSeconds(t.Ticks))
 	}
 	fmt.Fprintf(w, "%-36s %12.3f secs.\n", "Exclusive System CPU Time:", a.totalSys)
-	for _, ev := range []hwc.Event{hwc.EvECStall, hwc.EvECRdMiss, hwc.EvECRef, hwc.EvDCRdMiss, hwc.EvDTLBMiss, hwc.EvCycles, hwc.EvInstrs} {
-		if !a.HasEvent(ev) {
-			continue
-		}
+	for _, ev := range a.Columns() {
 		n := t.Events[ev]
 		if ev.CountsCycles() {
-			fmt.Fprintf(w, "%-36s %12.3f secs.\n", "Exclusive "+evTitle(ev)+":", a.Seconds(ev, n))
+			fmt.Fprintf(w, "%-36s %12.3f secs.\n", "Exclusive "+ev.Title()+":", a.Seconds(ev, n))
 			fmt.Fprintf(w, "%-36s %12d\n", "  count", a.Count(ev, n))
 		} else {
-			fmt.Fprintf(w, "%-36s %12d\n", "Exclusive "+evTitle(ev)+":", a.Count(ev, n))
+			fmt.Fprintf(w, "%-36s %12d\n", "Exclusive "+ev.Title()+":", a.Count(ev, n))
 		}
 	}
 	// Derived observations the paper calls out in §3.2.1.
@@ -75,26 +72,6 @@ func (a *Analyzer) TotalReport(w io.Writer) {
 		cost := float64(misses*100) / float64(a.ClockHz)
 		fmt.Fprintf(w, "%-36s %12.3f secs.\n", "Est. DTLB Miss Cost (100 cyc/miss):", cost)
 	}
-}
-
-func evTitle(ev hwc.Event) string {
-	switch ev {
-	case hwc.EvECStall:
-		return "E$ Stall Cycles"
-	case hwc.EvECRdMiss:
-		return "E$ Read Misses"
-	case hwc.EvECRef:
-		return "E$ Refs"
-	case hwc.EvDCRdMiss:
-		return "D$ Read Misses"
-	case hwc.EvDTLBMiss:
-		return "DTLB Misses"
-	case hwc.EvCycles:
-		return "Cycles"
-	case hwc.EvInstrs:
-		return "Instructions"
-	}
-	return ev.Desc()
 }
 
 // --- function list (Figure 2) ---
@@ -123,9 +100,9 @@ func (a *Analyzer) Functions(s SortBy) []FuncRow {
 	return rows
 }
 
-// columnSet returns the metric columns present in this analysis, in the
-// paper's order.
-func (a *Analyzer) columnSet() []hwc.Event {
+// Columns returns the metric columns present in this analysis, in the
+// paper's order: the hardware-counter events that were collected.
+func (a *Analyzer) Columns() []hwc.Event {
 	var cols []hwc.Event
 	for _, ev := range []hwc.Event{hwc.EvECStall, hwc.EvECRdMiss, hwc.EvECRef, hwc.EvDCRdMiss, hwc.EvDTLBMiss, hwc.EvCycles, hwc.EvInstrs} {
 		if a.HasEvent(ev) {
@@ -140,18 +117,18 @@ func (a *Analyzer) renderHeader(w io.Writer) {
 	if a.HasClock() {
 		fmt.Fprintf(w, "%9s %6s  ", "User CPU", "")
 	}
-	for _, ev := range a.columnSet() {
+	for _, ev := range a.Columns() {
 		if ev.CountsCycles() {
-			fmt.Fprintf(w, "%9s %6s  ", evShort(ev), "")
+			fmt.Fprintf(w, "%9s %6s  ", ev.Short(), "")
 		} else {
-			fmt.Fprintf(w, "%7s  ", evShort(ev))
+			fmt.Fprintf(w, "%7s  ", ev.Short())
 		}
 	}
 	fmt.Fprintf(w, "Name\n")
 	if a.HasClock() {
 		fmt.Fprintf(w, "%9s %6s  ", "sec.", "%")
 	}
-	for _, ev := range a.columnSet() {
+	for _, ev := range a.Columns() {
 		if ev.CountsCycles() {
 			fmt.Fprintf(w, "%9s %6s  ", "sec.", "%")
 		} else {
@@ -161,32 +138,12 @@ func (a *Analyzer) renderHeader(w io.Writer) {
 	fmt.Fprintf(w, "\n")
 }
 
-func evShort(ev hwc.Event) string {
-	switch ev {
-	case hwc.EvECStall:
-		return "E$ Stall"
-	case hwc.EvECRdMiss:
-		return "E$ RdMs"
-	case hwc.EvECRef:
-		return "E$ Refs"
-	case hwc.EvDCRdMiss:
-		return "D$ RdMs"
-	case hwc.EvDTLBMiss:
-		return "DTLB Ms"
-	case hwc.EvCycles:
-		return "Cycles"
-	case hwc.EvInstrs:
-		return "Instrs"
-	}
-	return ev.String()
-}
-
 // renderMetrics prints one row's metric cells.
 func (a *Analyzer) renderMetrics(w io.Writer, m *Metrics) {
 	if a.HasClock() {
 		fmt.Fprintf(w, "%9.3f %5.1f%%  ", a.TickSeconds(m.Ticks), a.pct(m.Ticks, a.total.Ticks))
 	}
-	for _, ev := range a.columnSet() {
+	for _, ev := range a.Columns() {
 		if ev.CountsCycles() {
 			fmt.Fprintf(w, "%9.3f %5.1f%%  ", a.Seconds(ev, m.Events[ev]), a.pct(m.Events[ev], a.total.Events[ev]))
 		} else {
@@ -269,7 +226,7 @@ func pad(a *Analyzer, extra int) string {
 	if a.HasClock() {
 		n += 18
 	}
-	for _, ev := range a.columnSet() {
+	for _, ev := range a.Columns() {
 		if ev.CountsCycles() {
 			n += 18
 		} else {

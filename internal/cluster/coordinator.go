@@ -12,7 +12,7 @@ package cluster
 // marked dead and the job is reassigned to another node; deterministic
 // job failures are retried on other nodes up to the assignment budget
 // and then fail for real. Admitted replicas record their origin node,
-// which the distributed reduce (Analyzer) uses to fan per-shard
+// which the distributed reduce uses to fan per-shard
 // partial computation out to the nodes that already hold the data.
 
 import (
@@ -21,8 +21,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,19 +99,9 @@ type origin struct {
 	ExpID  string
 }
 
-// maxCachedAnalyzers bounds the coordinator's distributed-reduce memo
-// (same sizing rationale as the store's local memo).
-const maxCachedAnalyzers = 32
-
-type analyzerEntry struct {
-	once sync.Once
-	a    *analyzer.Analyzer
-	err  error
-}
-
 // Coordinator fans profd jobs out to worker nodes and reduces report
-// queries across them. It implements profd.Runner (Run) and
-// profd.AnalyzerProvider (Analyzer).
+// queries across them. Its Run is the scheduler's profd.Runner, and
+// Mount installs its distributed reduce as the store's reducer.
 type Coordinator struct {
 	store  *profd.Store
 	reg    *Registry
@@ -122,9 +110,6 @@ type Coordinator struct {
 
 	originMu sync.Mutex
 	origins  map[string]origin // by config hash
-
-	cacheMu   sync.Mutex
-	analyzers map[string]*analyzerEntry
 
 	replBytes      atomic.Uint64
 	partialsRemote atomic.Uint64
@@ -142,23 +127,23 @@ type Coordinator struct {
 // the experiment replicas.
 func NewCoordinator(store *profd.Store, cfg Config) *Coordinator {
 	return &Coordinator{
-		store:     store,
-		reg:       NewRegistry(),
-		cfg:       cfg.withDefaults(),
-		client:    &http.Client{},
-		origins:   make(map[string]origin),
-		analyzers: make(map[string]*analyzerEntry),
+		store:   store,
+		reg:     NewRegistry(),
+		cfg:     cfg.withDefaults(),
+		client:  &http.Client{},
+		origins: make(map[string]origin),
 	}
 }
 
 // Registry returns the coordinator's node table.
 func (c *Coordinator) Registry() *Registry { return c.reg }
 
-// Mount installs the coordinator's cluster surface on a profd server:
-// report queries reduce through the cluster, /metrics grows the
-// cluster gauges, and /cluster/register + /cluster/nodes appear.
+// Mount installs the coordinator's cluster surface on a profd server
+// over the coordinator's store: the store's analyzer memo reduces
+// through the cluster, /metrics grows the cluster gauges, and
+// /cluster/register + /cluster/nodes appear.
 func (c *Coordinator) Mount(srv *profd.Server) {
-	srv.SetAnalyzerProvider(c)
+	c.store.SetReducer(c.reduce)
 	srv.SetMetricsExtra(c.writeMetrics)
 	srv.SetExtraRoutes(c.routes)
 }
@@ -361,53 +346,14 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// --- distributed reduce (the profd.AnalyzerProvider) ---
+// --- distributed reduce (the store's reducer on a coordinator) ---
 
-// Analyzer reduces the selected experiments across the cluster: each
+// reduce performs one distributed reduction over the ID set: each
 // work unit's partial is fetched from the experiment's origin node
 // (which computes it over its local replica, memoized) and merged in
 // canonical order; units whose origin is dead or failing are
-// recomputed locally. The result is memoized and byte-identical to
-// the store's local reduction.
-func (c *Coordinator) Analyzer(ids []string) (*analyzer.Analyzer, error) {
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("cluster: no experiments selected")
-	}
-	key := analyzerKey(ids)
-	c.cacheMu.Lock()
-	e := c.analyzers[key]
-	if e == nil {
-		e = &analyzerEntry{}
-		if len(c.analyzers) >= maxCachedAnalyzers {
-			for k := range c.analyzers {
-				delete(c.analyzers, k)
-				break
-			}
-		}
-		c.analyzers[key] = e
-	}
-	c.cacheMu.Unlock()
-
-	e.once.Do(func() { e.a, e.err = c.reduce(ids) })
-	if e.err != nil {
-		c.cacheMu.Lock()
-		if c.analyzers[key] == e {
-			delete(c.analyzers, key)
-		}
-		c.cacheMu.Unlock()
-	}
-	return e.a, e.err
-}
-
-// analyzerKey canonicalizes an ID set (order-insensitive), matching
-// the store's memo keying.
-func analyzerKey(ids []string) string {
-	sorted := append([]string(nil), ids...)
-	sort.Strings(sorted)
-	return strings.Join(sorted, ",")
-}
-
-// reduce performs one distributed reduction over the ID set.
+// recomputed locally. The result is byte-identical to the store's
+// local reduction, and the store's analyzer memo memoizes it.
 func (c *Coordinator) reduce(ids []string) (*analyzer.Analyzer, error) {
 	dirs, err := c.store.Dirs(ids)
 	if err != nil {

@@ -211,13 +211,25 @@ func TestBacktrackAcrossJoinNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ae := a.Events[0]
-	if !ae.Artificial || ae.Val != analyzer.VArtificialBT || ae.PC != pc(3) {
-		t.Fatalf("attribution = %+v, want artificial <branch target> at %#x", ae, pc(3))
+	byMiss := analyzer.ByEvent(hwc.EvECRdMiss)
+	rows := a.PCs(byMiss, 0)
+	if len(rows) != 1 || !rows[0].Artificial || rows[0].PC != pc(3) {
+		t.Fatalf("PC rows = %+v, want the one event at an artificial <branch target> at %#x", rows, pc(3))
 	}
-	if ae.Obj.Kind != analyzer.OKUnresolvable || ae.Member >= 0 {
-		t.Errorf("event attributed to %v member %d; a crossed join node must never yield a member",
-			ae.Obj.Kind, ae.Member)
+	for _, r := range a.DataObjects(byMiss) {
+		switch r.Name {
+		case "<Total>", "<Unknown>", "(Unresolvable)":
+			if n := r.M.Events[hwc.EvECRdMiss]; n != 1 {
+				t.Errorf("%s holds %d events, want the one event", r.Name, n)
+			}
+		default:
+			t.Errorf("event attributed to %s; a crossed join node must land in (Unresolvable)", r.Name)
+		}
+	}
+	for _, r := range a.Members(node) {
+		if !r.M.IsZero() {
+			t.Errorf("event attributed to member %s; a crossed join node must never yield a member", r.Name)
+		}
 	}
 }
 

@@ -38,18 +38,20 @@ const (
 var evInfo = [NumEvents]struct {
 	name   string
 	desc   string
-	cycles bool // the counter counts cycles, not events
-	memRel bool // memory-related: apropos backtracking applies
+	short  string // report column header
+	title  string // report row title
+	cycles bool   // the counter counts cycles, not events
+	memRel bool   // memory-related: apropos backtracking applies
 }{
-	EvNone:     {"none", "no event", false, false},
-	EvCycles:   {"cycles", "processor cycles", true, false},
-	EvInstrs:   {"insts", "instructions completed", false, false},
-	EvICMiss:   {"icm", "I$ misses", false, false},
-	EvDCRdMiss: {"dcrm", "D$ read misses", false, true},
-	EvECRef:    {"ecref", "E$ references", false, true},
-	EvECRdMiss: {"ecrm", "E$ read misses", false, true},
-	EvECStall:  {"ecstall", "E$ stall cycles", true, true},
-	EvDTLBMiss: {"dtlbm", "DTLB misses", false, true},
+	EvNone:     {"none", "no event", "none", "no event", false, false},
+	EvCycles:   {"cycles", "processor cycles", "Cycles", "Cycles", true, false},
+	EvInstrs:   {"insts", "instructions completed", "Instrs", "Instructions", false, false},
+	EvICMiss:   {"icm", "I$ misses", "icm", "I$ misses", false, false},
+	EvDCRdMiss: {"dcrm", "D$ read misses", "D$ RdMs", "D$ Read Misses", false, true},
+	EvECRef:    {"ecref", "E$ references", "E$ Refs", "E$ Refs", false, true},
+	EvECRdMiss: {"ecrm", "E$ read misses", "E$ RdMs", "E$ Read Misses", false, true},
+	EvECStall:  {"ecstall", "E$ stall cycles", "E$ Stall", "E$ Stall Cycles", true, true},
+	EvDTLBMiss: {"dtlbm", "DTLB misses", "DTLB Ms", "DTLB Misses", false, true},
 }
 
 func (e Event) String() string {
@@ -65,6 +67,22 @@ func (e Event) Desc() string {
 		return evInfo[e].desc
 	}
 	return "unknown"
+}
+
+// Short returns the event's report column header, e.g. "E$ Stall".
+func (e Event) Short() string {
+	if e < NumEvents {
+		return evInfo[e].short
+	}
+	return e.String()
+}
+
+// Title returns the event's report row title, e.g. "E$ Stall Cycles".
+func (e Event) Title() string {
+	if e < NumEvents {
+		return evInfo[e].title
+	}
+	return e.Desc()
 }
 
 // CountsCycles reports whether the counter value is in cycles (so the

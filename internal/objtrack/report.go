@@ -38,67 +38,6 @@ func init() {
 	})
 }
 
-// topN applies the registry-wide default: 0 means the er_print default
-// of 20 rows.
-func topN(opts analyzer.RenderOpts) int {
-	if opts.TopN <= 0 {
-		return 20
-	}
-	return opts.TopN
-}
-
-// columns mirrors the analyzer's metric column set (its columnSet is
-// unexported): the paper's event order, filtered to what was collected.
-func columns(a *analyzer.Analyzer) []hwc.Event {
-	var cols []hwc.Event
-	for _, ev := range []hwc.Event{hwc.EvECStall, hwc.EvECRdMiss, hwc.EvECRef, hwc.EvDCRdMiss, hwc.EvDTLBMiss, hwc.EvCycles, hwc.EvInstrs} {
-		if a.HasEvent(ev) {
-			cols = append(cols, ev)
-		}
-	}
-	return cols
-}
-
-func evShort(ev hwc.Event) string {
-	switch ev {
-	case hwc.EvECStall:
-		return "E$ Stall"
-	case hwc.EvECRdMiss:
-		return "E$ RdMs"
-	case hwc.EvECRef:
-		return "E$ Refs"
-	case hwc.EvDCRdMiss:
-		return "D$ RdMs"
-	case hwc.EvDTLBMiss:
-		return "DTLB Ms"
-	case hwc.EvCycles:
-		return "Cycles"
-	case hwc.EvInstrs:
-		return "Instrs"
-	}
-	return ev.String()
-}
-
-func evTitle(ev hwc.Event) string {
-	switch ev {
-	case hwc.EvECStall:
-		return "E$ Stall Cycles"
-	case hwc.EvECRdMiss:
-		return "E$ Read Misses"
-	case hwc.EvECRef:
-		return "E$ Refs"
-	case hwc.EvDCRdMiss:
-		return "D$ Read Misses"
-	case hwc.EvDTLBMiss:
-		return "DTLB Misses"
-	case hwc.EvCycles:
-		return "Cycles"
-	case hwc.EvInstrs:
-		return "Instructions"
-	}
-	return ev.Desc()
-}
-
 // rankSites orders sites for presentation: by the rank event's joined
 // overflows descending (total joined events when no counter was
 // collected), site PC ascending on ties.
@@ -137,14 +76,14 @@ func renderSiteHeat(a *analyzer.Analyzer, w io.Writer, arg string, opts analyzer
 	rank := RankEvent(a)
 	rankName := "joined events"
 	if rank != hwc.EvNone {
-		rankName = evTitle(rank)
+		rankName = rank.Title()
 	}
 	fmt.Fprintf(w, "Allocation-site heat: ranked by %s\n", rankName)
 	provHeader(w, idx)
 	fmt.Fprintf(w, "\n")
-	cols := columns(a)
+	cols := a.Columns()
 	for _, ev := range cols {
-		fmt.Fprintf(w, "%10s %6s  ", evShort(ev), "")
+		fmt.Fprintf(w, "%10s %6s  ", ev.Short(), "")
 	}
 	fmt.Fprintf(w, "%7s %10s %10s  Site\n", "Allocs", "Bytes", "Live")
 	for range cols {
@@ -160,7 +99,7 @@ func renderSiteHeat(a *analyzer.Analyzer, w io.Writer, arg string, opts analyzer
 			joinedTotal[ev] += n
 		}
 	}
-	n := topN(opts)
+	n := opts.TopN
 	ranked := rankSites(idx.Sites, rank)
 	for i, s := range ranked {
 		if i >= n {
@@ -200,7 +139,7 @@ func siteToJSON(a *analyzer.Analyzer, s *Site) siteJSON {
 		LiveBytes: s.LiveBytes,
 		Total:     s.Total,
 	}
-	for _, ev := range columns(a) {
+	for _, ev := range a.Columns() {
 		if out.Events == nil {
 			out.Events = make(map[string]uint64)
 		}
@@ -216,8 +155,8 @@ func siteHeatJSON(a *analyzer.Analyzer, arg string, opts analyzer.RenderOpts) (a
 	}
 	rank := RankEvent(a)
 	ranked := rankSites(idx.Sites, rank)
-	if n := topN(opts); len(ranked) > n {
-		ranked = ranked[:n]
+	if len(ranked) > opts.TopN {
+		ranked = ranked[:opts.TopN]
 	}
 	sites := make([]siteJSON, 0, len(ranked))
 	for i := range ranked {
@@ -363,7 +302,7 @@ func renderTimeline(a *analyzer.Analyzer, w io.Writer, arg string, opts analyzer
 	provHeader(w, idx)
 	fmt.Fprintf(w, "time axis: cycle %d .. %d, %d buckets (' ' unborn/freed, '-' quiet, 1-9/'*' joined events)\n\n",
 		lo, hi, timelineBuckets)
-	n := topN(opts)
+	n := opts.TopN
 	for row, i := range is {
 		if row >= n {
 			fmt.Fprintf(w, "... %d more instance(s)\n", len(is)-n)
@@ -395,8 +334,8 @@ func timelineJSON(a *analyzer.Analyzer, arg string, opts analyzer.RenderOpts) (a
 	}
 	cycles := joinCycles(a, idx)
 	lo, hi := timelineSpan(idx, cycles)
-	if n := topN(opts); len(is) > n {
-		is = is[:n]
+	if len(is) > opts.TopN {
+		is = is[:opts.TopN]
 	}
 	type instJSON struct {
 		Seq     int    `json:"seq"`
@@ -514,7 +453,7 @@ func renderDeadObjects(a *analyzer.Analyzer, w io.Writer, arg string, opts analy
 	}
 	fmt.Fprintf(w, "Dead-object analysis\n")
 	provHeader(w, idx)
-	n := topN(opts)
+	n := opts.TopN
 	for _, c := range classifyDead(idx) {
 		fmt.Fprintf(w, "\n%s (%s): %d block(s), %d bytes, %d leaked\n",
 			c.name, c.desc, len(c.instances), c.bytes, c.leaked)
@@ -544,7 +483,7 @@ func deadObjectsJSON(a *analyzer.Analyzer, arg string, opts analyzer.RenderOpts)
 		Leaked uint64     `json:"leakedBytes"`
 		Sites  []siteJSON `json:"sites,omitempty"`
 	}
-	n := topN(opts)
+	n := opts.TopN
 	var out []classJSON
 	for _, c := range classifyDead(idx) {
 		cj := classJSON{Name: c.name, Desc: c.desc, Blocks: len(c.instances), Bytes: c.bytes, Leaked: c.leaked}

@@ -36,21 +36,11 @@ import (
 	"dsprof/internal/hwc"
 )
 
-// AnalyzerProvider resolves a set of experiment IDs to a reduced
-// analyzer. The store is the default provider (local reduction with
-// per-shard memoization); the cluster coordinator substitutes its
-// distributed reduce so report queries fan partial computation out to
-// the worker nodes that hold the experiment replicas.
-type AnalyzerProvider interface {
-	Analyzer(ids []string) (*analyzer.Analyzer, error)
-}
-
 // Server serves the profiling service API.
 type Server struct {
-	sched     *Scheduler
-	store     *Store
-	adviser   *Adviser
-	analyzers AnalyzerProvider
+	sched   *Scheduler
+	store   *Store
+	adviser *Adviser
 	// extraMetrics, when set, appends additional lines to /metrics —
 	// the cluster roles install their gauges here.
 	extraMetrics func(io.Writer)
@@ -61,15 +51,7 @@ type Server struct {
 
 // NewServer wires the API over a scheduler and its store.
 func NewServer(sched *Scheduler, store *Store) *Server {
-	return &Server{sched: sched, store: store, adviser: NewAdviser(sched, store), analyzers: store}
-}
-
-// SetAnalyzerProvider replaces the report path's analyzer source (the
-// store's local reduction by default).
-func (s *Server) SetAnalyzerProvider(p AnalyzerProvider) {
-	if p != nil {
-		s.analyzers = p
-	}
+	return &Server{sched: sched, store: store, adviser: NewAdviser(sched, store)}
 }
 
 // SetMetricsExtra installs a hook that appends lines to /metrics.
@@ -290,7 +272,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		opts.Sort = &sortBy
 	}
 
-	a, err := s.analyzers.Analyzer(ids)
+	a, err := s.store.Analyzer(ids)
 	if err != nil {
 		code := http.StatusBadRequest
 		if strings.Contains(err.Error(), "no experiment") {

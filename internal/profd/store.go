@@ -41,11 +41,12 @@ type ExpRecord struct {
 const indexFile = "index.json"
 
 // maxCachedAnalyzers bounds the analyzer memo; reduction results are
-// large (every attributed event), so the cache evicts beyond this.
+// large (the aggregates plus every EA-carrying event), so the cache
+// evicts beyond this.
 const maxCachedAnalyzers = 32
 
 // maxCachedPartials bounds the per-shard partial cache. A partial is
-// much smaller than a whole analyzer (one shard's worth of attributed
+// much smaller than a whole analyzer (one shard's worth of EA-carrying
 // events), so the bound is correspondingly larger.
 const maxCachedPartials = 4096
 
@@ -97,6 +98,9 @@ func (c *shardPartialCache) Put(key string, p *analyzer.ShardPartial) {
 	c.m[key] = p
 }
 
+// Reducer reduces a set of stored experiments to an analyzer.
+type Reducer func(ids []string) (*analyzer.Analyzer, error)
+
 // Store is the on-disk experiment registry plus the analyzer memo.
 type Store struct {
 	root string
@@ -107,6 +111,7 @@ type Store struct {
 	seq  int
 
 	cacheMu   sync.Mutex
+	reduce    Reducer // what the memo memoizes; SetReducer replaces it
 	analyzers map[string]*analyzerEntry
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -136,6 +141,7 @@ func OpenStoreFS(fsys faultfs.FS, root string) (*Store, error) {
 		analyzers: make(map[string]*analyzerEntry),
 		partials:  newShardPartialCache(),
 	}
+	s.reduce = s.reduceLocal
 	if err := s.loadIndex(); err != nil {
 		return nil, err
 	}
@@ -353,10 +359,20 @@ func (s *Store) Dirs(ids []string) ([]string, error) {
 	return dirs, nil
 }
 
+// SetReducer replaces the reduction the analyzer memo runs on a miss —
+// the store's local reduction by default. A cluster coordinator installs
+// its distributed reduce here, so report queries on every node go
+// through the one memo.
+func (s *Store) SetReducer(fn Reducer) {
+	s.cacheMu.Lock()
+	s.reduce = fn
+	s.cacheMu.Unlock()
+}
+
 // Analyzer returns the merged, reduced analyzer over the given
 // experiment IDs, memoized: the first query for a set of experiments
-// loads and reduces them; repeated queries (any order of the same IDs)
-// hit the cache and never re-aggregate events.
+// reduces them; repeated queries (any order of the same IDs) hit the
+// cache and never re-aggregate events.
 func (s *Store) Analyzer(ids []string) (*analyzer.Analyzer, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("profd: no experiments selected")
@@ -364,6 +380,7 @@ func (s *Store) Analyzer(ids []string) (*analyzer.Analyzer, error) {
 	key := cacheKey(ids)
 
 	s.cacheMu.Lock()
+	reduce := s.reduce
 	e := s.analyzers[key]
 	if e == nil {
 		e = &analyzerEntry{}
@@ -382,30 +399,7 @@ func (s *Store) Analyzer(ids []string) (*analyzer.Analyzer, error) {
 	}
 	s.cacheMu.Unlock()
 
-	e.once.Do(func() {
-		dirs, err := s.Dirs(ids)
-		if err != nil {
-			e.err = err
-			return
-		}
-		exps := make([]*experiment.Experiment, 0, len(dirs))
-		for _, d := range dirs {
-			// Open, not Load: v2 counter events stay on disk and stream
-			// shard-by-shard through the parallel reduction below.
-			exp, err := experiment.Open(d)
-			if err != nil {
-				e.err = err
-				return
-			}
-			exps = append(exps, exp)
-		}
-		// Keys[i] names exps[i] for the per-shard partial cache: store
-		// experiments are immutable, so id+shard coordinates is stable.
-		e.a, e.err = analyzer.NewWithConfig(analyzer.Config{
-			Cache: s.partials,
-			Keys:  ids,
-		}, exps...)
-	})
+	e.once.Do(func() { e.a, e.err = reduce(ids) })
 	if e.err != nil {
 		// Don't pin failures in the cache: a later query retries.
 		s.cacheMu.Lock()
@@ -415,6 +409,31 @@ func (s *Store) Analyzer(ids []string) (*analyzer.Analyzer, error) {
 		s.cacheMu.Unlock()
 	}
 	return e.a, e.err
+}
+
+// reduceLocal loads and reduces the experiments in this process, with
+// per-shard memoization.
+func (s *Store) reduceLocal(ids []string) (*analyzer.Analyzer, error) {
+	dirs, err := s.Dirs(ids)
+	if err != nil {
+		return nil, err
+	}
+	exps := make([]*experiment.Experiment, 0, len(dirs))
+	for _, d := range dirs {
+		// Open, not Load: v2 counter events stay on disk and stream
+		// shard-by-shard through the parallel reduction below.
+		exp, err := experiment.Open(d)
+		if err != nil {
+			return nil, err
+		}
+		exps = append(exps, exp)
+	}
+	// Keys[i] names exps[i] for the per-shard partial cache: store
+	// experiments are immutable, so id+shard coordinates is stable.
+	return analyzer.NewWithConfig(analyzer.Config{
+		Cache: s.partials,
+		Keys:  ids,
+	}, exps...)
 }
 
 // cacheKey canonicalizes an ID set (order-insensitive).

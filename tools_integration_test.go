@@ -137,6 +137,11 @@ func TestToolPipeline(t *testing.T) {
 	fails(1, "adv.txt", "dsadvise", "advice", "-pools", "-o", "adv.txt", "exp1.er")
 	// Layout names belong to their workload: n-body has no "optimized".
 	fails(2, "", "dsadvise", "loop", "-workload", "nbody", "-layout", "optimized")
+	// A negative row count is a usage error that writes nothing, not a
+	// report whose length depends on which report reads it.
+	fails(2, "neg.txt", "erprint", "-n", "-1", "-o", "neg.txt", "pcs", "exp1.er")
+	fails(2, "neg.txt", "dsadvise", "advice", "-n", "-1", "-o", "neg.txt", "exp1.er", "exp2.er")
+	fails(2, "neg.txt", "dsadvise", "loop", "-n", "-1", "-size", "120", "-machine", "scaled", "-o", "neg.txt")
 
 	// STABS build refuses data-object attribution.
 	run("mcc", "-xhwcprof", "-xdebugformat=stabs", "-o", "mcf-stabs.obj", "mcf.mc")
