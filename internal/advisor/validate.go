@@ -59,21 +59,24 @@ type Validation struct {
 	Combined *RecResult  `json:"combined,omitempty"` // every accepted override applied at once
 }
 
-// Validate re-runs the target once per recommendation with the
-// corresponding layout override applied, and once more with every
-// accepted override combined. A recommendation is accepted when the
-// transformed program produces identical output and does not regress
-// the advice metric.
+// Validate re-runs the target once per distinct override among the
+// recommendations, and once more with every accepted override
+// combined. A recommendation is accepted when the transformed program
+// produces identical output and does not regress the advice metric.
 //
-// The re-runs are independent, so they run on up to GOMAXPROCS
-// goroutines; Results are in recommendation order whatever the
-// schedule. The combined run is speculated: the combination of every
-// recommendation is queued after the re-runs, skipped if a rejection is
-// known when a worker reaches it, and kept only if every verdict comes
-// back accepted, since the combined set then equals it. Otherwise the
-// accepted overrides run once more after the others. Each run is a
-// deterministic function of its overrides, so the result never depends
-// on timing.
+// cc.Compile is deterministic, so recommendations with equal overrides
+// (a hot/cold split is validated through its reordering effect, with
+// the same Order as the reorder beside it) build the same program: they
+// share one re-run and its records, and each result keeps its own Rec
+// and experiment label. The re-runs are independent, so they run on up
+// to GOMAXPROCS goroutines; Results are in recommendation order
+// whatever the schedule. The combined run is speculated: the
+// combination of every recommendation is queued after the re-runs,
+// skipped if a rejection is known when a worker reaches it, and kept
+// only if every verdict comes back accepted, since the combined set
+// then equals it. Otherwise the accepted overrides run once more after
+// the others. Each run is a deterministic function of its overrides, so
+// the result never depends on timing.
 func Validate(ctx context.Context, target Target, adv *Advice, base *analyzer.Analyzer) (*Validation, error) {
 	metric, err := hwc.ParseEvent(adv.Metric)
 	if err != nil {
@@ -96,10 +99,10 @@ func Validate(ctx context.Context, target Target, adv *Advice, base *analyzer.An
 // reduction as well as its grade.
 type runFunc func(ctx context.Context, ovs map[string]*cc.LayoutOverride, label string, analyze bool) RecResult
 
-// validate schedules Validate's runs on min(workers, runs) goroutines.
-// Jobs are handed out in order: the recommendations, then the
-// speculative combined run, which a worker skips once any rejection is
-// known.
+// validate schedules Validate's runs on min(workers, runs+1) goroutines.
+// Jobs are handed out in order: one re-run per distinct override, then
+// the speculative combined run, which a worker skips once any rejection
+// is known.
 func validate(ctx context.Context, recs []Recommendation, workers int, run runFunc) *Validation {
 	v := &Validation{}
 	var todo []Recommendation
@@ -111,7 +114,22 @@ func validate(ctx context.Context, recs []Recommendation, workers int, run runFu
 	if len(todo) == 0 {
 		return v
 	}
-	v.Results = make([]RecResult, len(todo))
+	var (
+		firsts []int                    // the first recommendation of each distinct override
+		slot   = make([]int, len(todo)) // recommendation -> its index in firsts
+		byKey  = make(map[string]int)
+	)
+	for i := range todo {
+		k := overrideKey(&todo[i])
+		s, ok := byKey[k]
+		if !ok {
+			s = len(firsts)
+			byKey[k] = s
+			firsts = append(firsts, i)
+		}
+		slot[i] = s
+	}
+	shared := make([]RecResult, len(firsts))
 	var (
 		next     atomic.Int64
 		rejected atomic.Bool
@@ -123,15 +141,14 @@ func validate(ctx context.Context, recs []Recommendation, workers int, run runFu
 		for {
 			i := int(next.Add(1)) - 1
 			switch {
-			case i < len(todo):
-				rec := todo[i]
+			case i < len(firsts):
+				rec := todo[firsts[i]]
 				r := run(ctx, map[string]*cc.LayoutOverride{rec.Struct: rec.Override()}, rec.Kind+":"+rec.Struct, false)
-				r.Rec = rec
-				v.Results[i] = r
+				shared[i] = r
 				if r.Verdict != VerdictAccepted {
 					rejected.Store(true)
 				}
-			case i == len(todo) && !rejected.Load():
+			case i == len(firsts) && !rejected.Load():
 				r := run(ctx, combine(todo), "combined", true)
 				guess = &r
 			default:
@@ -139,17 +156,24 @@ func validate(ctx context.Context, recs []Recommendation, workers int, run runFu
 			}
 		}
 	}
-	n := min(workers, len(todo)+1)
+	n := min(workers, len(firsts)+1)
 	wg.Add(n)
 	for range n {
 		go work()
 	}
 	wg.Wait()
 
+	v.Results = make([]RecResult, len(todo))
 	var accepted []Recommendation
-	for _, r := range v.Results {
+	for i, rec := range todo {
+		r := shared[slot[i]]
+		if firsts[slot[i]] != i {
+			r.Exp = relabel(r.Exp, rec.Kind+":"+rec.Struct)
+		}
+		r.Rec = rec
+		v.Results[i] = r
 		if r.Verdict == VerdictAccepted {
-			accepted = append(accepted, r.Rec)
+			accepted = append(accepted, rec)
 		}
 	}
 	switch {
@@ -160,6 +184,28 @@ func validate(ctx context.Context, recs []Recommendation, workers int, run runFu
 		v.Combined = &r
 	}
 	return v
+}
+
+// overrideKey is a canonical string of a recommendation's override
+// set: its struct, Order and PadTo. Recommendations with equal keys
+// compile to the same program.
+func overrideKey(rec *Recommendation) string {
+	ov := rec.Override()
+	return fmt.Sprintf("%q:%#v/%d", rec.Struct, ov.Order, ov.PadTo)
+}
+
+// relabel returns a shallow copy of a re-run's experiment under its own
+// label. The copy shares the records, program and output, which nothing
+// writes after collect. A re-run keeps its records in memory (it is
+// collected without a spool directory), so saving either copy writes
+// them afresh and changes only that copy's Meta.
+func relabel(e *experiment.Experiment, label string) *experiment.Experiment {
+	if e == nil {
+		return nil
+	}
+	c := *e
+	c.Meta.Label = label
+	return &c
 }
 
 // combine merges the overrides of ranked recommendations into one set.

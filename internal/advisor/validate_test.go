@@ -9,10 +9,12 @@ import (
 	"time"
 
 	"dsprof/internal/cc"
+	"dsprof/internal/experiment"
 )
 
 // TestValidateSchedule drives validate's schedule with a stub run: the
-// results must equal a serial loop's whatever the worker count, and the
+// results must equal a serial loop's whatever the worker count, each
+// distinct recommended override must be collected once, and the
 // speculative combined run must be used, skipped or discarded by the
 // verdicts alone.
 func TestValidateSchedule(t *testing.T) {
@@ -22,13 +24,22 @@ func TestValidateSchedule(t *testing.T) {
 		{Kind: KindSplitPool, Struct: "node"}, // no layout override: not re-run
 		{Kind: KindSplit, Struct: "arc", Order: []string{"d", "c"}},
 	}
-	const last = "split:arc"
+	// pairs validates each split through the reorder beside it: five
+	// recommendations, three distinct override sets.
+	pairs := []Recommendation{
+		{Kind: KindSplit, Struct: "node", Order: []string{"b", "a"}},
+		{Kind: KindReorder, Struct: "node", Order: []string{"b", "a"}},
+		{Kind: KindPad, Struct: "node", PadTo: 64},
+		{Kind: KindReorder, Struct: "arc", Order: []string{"d", "c"}},
+		{Kind: KindSplit, Struct: "arc", Order: []string{"d", "c"}},
+	}
 	// runs and guess are indexed by worker count; 0 and "" leave a
 	// count or outcome that timing decides unchecked.
 	cases := []struct {
 		name   string
-		reject map[string]bool
-		hold   bool // the last recommendation waits until the guess begins
+		recs   []Recommendation // nil means recs
+		reject map[string]bool  // labels whose override set is rejected
+		hold   string           // this run waits until the guess begins
 		cancel bool
 		runs   [3]int
 		guess  [3]string
@@ -37,39 +48,64 @@ func TestValidateSchedule(t *testing.T) {
 			runs: [3]int{1: 4, 2: 4}, guess: [3]string{1: "used", 2: "used"}},
 		{name: "first rejected", reject: map[string]bool{"reorder:node": true},
 			runs: [3]int{1: 4}, guess: [3]string{1: "skipped"}},
-		{name: "late rejection", reject: map[string]bool{last: true}, hold: true,
+		{name: "late rejection", reject: map[string]bool{"split:arc": true}, hold: "split:arc",
 			runs: [3]int{1: 4, 2: 5}, guess: [3]string{1: "skipped", 2: "discarded"}},
 		{name: "cancelled", cancel: true,
 			runs: [3]int{1: 3, 2: 3}, guess: [3]string{1: "skipped", 2: "skipped"}},
+		{name: "two duplicate pairs plus a pad", recs: pairs,
+			runs: [3]int{1: 4, 2: 4}, guess: [3]string{1: "used", 2: "used"}},
+		{name: "one distinct set", recs: pairs[:2],
+			runs: [3]int{1: 2, 2: 2}, guess: [3]string{1: "used", 2: "used"}},
+		{name: "rejected duplicated set", recs: pairs[:3], reject: map[string]bool{"split:node": true}, hold: "split:node",
+			runs: [3]int{1: 3, 2: 4}, guess: [3]string{1: "skipped", 2: "discarded"}},
+		{name: "duplicates cancelled", recs: pairs, cancel: true,
+			runs: [3]int{1: 3, 2: 3}, guess: [3]string{1: "skipped", 2: "skipped"}},
 	}
 	for _, tc := range cases {
+		recs := recs
+		if tc.recs != nil {
+			recs = tc.recs
+		}
+		// The override sets the rejected labels name.
+		var rejects []map[string]cc.LayoutOverride
+		for _, rec := range recs {
+			if tc.reject[rec.Kind+":"+rec.Struct] {
+				rejects = append(rejects, deref(map[string]*cc.LayoutOverride{rec.Struct: rec.Override()}))
+			}
+		}
 		for _, workers := range []int{1, 2} {
 			name := fmt.Sprintf("%s/%d workers", tc.name, workers)
 			ctx, cancel := context.WithCancel(context.Background())
 			if tc.cancel {
 				cancel()
 			}
-			// grade depends on the label and override set only, as a
-			// real re-run does.
+			// grade depends on the override set only, as a real re-run
+			// does; the label names the re-run's experiment.
 			grade := func(ctx context.Context, ovs map[string]*cc.LayoutOverride, label string) RecResult {
 				if err := ctx.Err(); err != nil {
 					return RecResult{Verdict: VerdictRejected, Before: 100, Err: err.Error()}
 				}
-				r := RecResult{Verdict: VerdictAccepted, Before: 100, After: 100 - 10*uint64(len(ovs)), OutputOK: true}
+				r := RecResult{Verdict: VerdictAccepted, Before: 100, After: 100 - 10*uint64(len(ovs)), OutputOK: true,
+					Exp: &experiment.Experiment{Meta: experiment.Meta{Label: label}}}
 				for _, ov := range ovs {
 					if ov.PadTo != 0 {
 						r.After--
 					}
 				}
-				if tc.reject[label] {
-					r.Verdict, r.After = VerdictRejected, 120
+				for _, rej := range rejects {
+					if reflect.DeepEqual(rej, deref(ovs)) {
+						r.Verdict, r.After = VerdictRejected, 120
+					}
 				}
 				return r
 			}
+			type runRec struct {
+				label string
+				ovs   map[string]cc.LayoutOverride
+			}
 			var (
 				mu         sync.Mutex
-				runs       int
-				combined   []map[string]cc.LayoutOverride // override sets of the combined runs, in order
+				ran        []runRec // every run, in the order it began
 				began      sync.Once
 				guessBegan = make(chan struct{})
 			)
@@ -78,15 +114,12 @@ func TestValidateSchedule(t *testing.T) {
 					t.Errorf("%s: run %q analyze=%v, want the full reduction for combined runs only", name, label, analyze)
 				}
 				mu.Lock()
-				runs++
-				if label == "combined" {
-					combined = append(combined, deref(ovs))
-				}
+				ran = append(ran, runRec{label, deref(ovs)})
 				mu.Unlock()
 				if label == "combined" {
 					began.Do(func() { close(guessBegan) })
 				}
-				if tc.hold && workers > 1 && label == last {
+				if workers > 1 && label == tc.hold {
 					select {
 					case <-guessBegan:
 					case <-time.After(10 * time.Second):
@@ -97,7 +130,8 @@ func TestValidateSchedule(t *testing.T) {
 			}
 
 			// The serial result: one run per recommendation in order,
-			// then the accepted overrides combined.
+			// each under its own label, then the accepted overrides
+			// combined.
 			want := &Validation{}
 			var accepted []Recommendation
 			for _, rec := range recs {
@@ -140,6 +174,19 @@ func TestValidateSchedule(t *testing.T) {
 				}
 			}
 
+			// One collect per distinct recommended override.
+			var combined []map[string]cc.LayoutOverride // override sets of the combined runs, in order
+			for i, r := range ran {
+				if r.label == "combined" {
+					combined = append(combined, r.ovs)
+					continue
+				}
+				for _, b := range ran[:i] {
+					if b.label != "combined" && reflect.DeepEqual(r.ovs, b.ovs) {
+						t.Errorf("%s: %s ran the override set of %s again: %+v", name, r.label, b.label, r.ovs)
+					}
+				}
+			}
 			guessRan := len(combined) > 0 && reflect.DeepEqual(combined[0], deref(combine(recs)))
 			guess := "skipped"
 			switch {
@@ -151,8 +198,8 @@ func TestValidateSchedule(t *testing.T) {
 			if w := tc.guess[workers]; w != "" && guess != w {
 				t.Errorf("%s: guess %s, want %s", name, guess, w)
 			}
-			if w := tc.runs[workers]; w != 0 && runs != w {
-				t.Errorf("%s: %d runs, want %d", name, runs, w)
+			if w := tc.runs[workers]; w != 0 && len(ran) != w {
+				t.Errorf("%s: %d runs, want %d", name, len(ran), w)
 			}
 			// Unless the guess was used, the accepted set runs exactly
 			// once, last.

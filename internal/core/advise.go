@@ -34,9 +34,9 @@ type AdviseRun struct {
 // Advise runs the full closed loop on a bundled workload: baseline
 // two-experiment profile (the paper's A+B collection), a check of the
 // baseline's output, advisor analysis, and one validation re-run per
-// recommendation plus a combined run. The workloads' output vectors are
-// layout invariant, so the validation's output-identity gate applies
-// unchanged.
+// distinct override set plus a combined run. The workloads' output
+// vectors are layout invariant, so the validation's output-identity
+// gate applies unchanged.
 func Advise(ctx context.Context, p AdviseParams) (*AdviseRun, error) {
 	target, err := p.Study.Target()
 	if err != nil {

@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/collect"
+	"dsprof/internal/experiment"
 )
 
 // The advise endpoint: full closed loop over the service, and the
@@ -92,17 +94,30 @@ func TestAdvisorHTTPFlow(t *testing.T) {
 	if final.Advice == nil || len(final.Advice.Recs) == 0 {
 		t.Fatal("no recommendations in final status")
 	}
-	if len(final.ValidationExps) == 0 {
-		t.Error("validation experiments not persisted to the store")
+	// Every validation result is stored under its own label, results
+	// that share a re-run (split:node and reorder:node) included, then
+	// the combined run.
+	if len(final.Results) == 0 || len(final.ValidationExps) != len(final.Results)+1 {
+		t.Fatalf("validation experiments %v, want one per result (%d) plus combined", final.ValidationExps, len(final.Results))
 	}
-	for _, id := range final.ValidationExps {
+	for i, id := range final.ValidationExps {
+		want := "combined"
+		if i < len(final.Results) {
+			want = final.Results[i].Rec.Kind + ":" + final.Results[i].Rec.Struct
+		}
 		rec, ok := store.Get(id)
 		if !ok {
 			t.Errorf("validation experiment %s missing from store", id)
 			continue
 		}
-		if rec.Label == "" {
-			t.Errorf("validation experiment %s has no provenance label", id)
+		if rec.Label != want {
+			t.Errorf("validation experiment %s labelled %q, want %q", id, rec.Label, want)
+		}
+		m, err := experiment.ReadMeta(filepath.Join(store.Root(), rec.Dir))
+		if err != nil {
+			t.Error(err)
+		} else if m.Label != want {
+			t.Errorf("validation experiment %s saved with label %q, want %q", id, m.Label, want)
 		}
 	}
 
