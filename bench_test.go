@@ -1,18 +1,15 @@
-// Package dsprof_test holds the paper-reproduction benchmark harness: one
-// benchmark per table/figure of the evaluation section (Figures 1-7), one
-// per quantitative claim in the text (§2.1 -xhwcprof overhead, §3.3
-// layout/page-size/combined speedups), plus the future-work (§4)
-// experiments and the design ablations called out in DESIGN.md.
+// Package dsprof_test holds the root package's end-to-end tests and the
+// benchmarks of the profiler itself: the profd parallel collect, the
+// sharded reduction of a >=1M-event experiment, and the simulator-core
+// benchmarks that write BENCH_simcore.json.
 //
 // Run with:
 //
-//	go test -bench=. -benchmem -timeout 7200s
+//	go test -run '^$' -bench=. -benchmem -timeout 7200s
 //
-// Figure benchmarks share one profiled study (two collect runs at the
-// paper-scale configuration); speedup benchmarks each time a full
-// unprofiled MCF run, so the complete sweep takes tens of minutes of
-// simulation. Reported custom metrics carry the paper-vs-measured
-// comparisons recorded in EXPERIMENTS.md.
+// The paper's figures and numbers are tests, not benchmarks:
+// TestSampleFigures and TestPaperNumbers (paper_test.go) check the MCF
+// study against docs/sample-figures/ and EXPERIMENTS.md.
 package dsprof_test
 
 import (
@@ -20,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -36,15 +32,14 @@ import (
 	"dsprof/internal/collect"
 	"dsprof/internal/core"
 	"dsprof/internal/experiment"
-	"dsprof/internal/hwc"
 	"dsprof/internal/isa"
 	"dsprof/internal/machine"
 	"dsprof/internal/mcf"
 	"dsprof/internal/profd"
 )
 
-// benchTrips scales the study; override with DSPROF_TRIPS for quicker
-// sweeps (the shape assertions were calibrated at 1200).
+// benchTrips sizes the benchmarks' MCF instances; override with
+// DSPROF_TRIPS for quicker sweeps.
 func benchTrips() int {
 	if s := os.Getenv("DSPROF_TRIPS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {
@@ -52,302 +47,6 @@ func benchTrips() int {
 		}
 	}
 	return 1200
-}
-
-var (
-	studyOnce sync.Once
-	study     *core.Study
-	studyErr  error
-)
-
-// benchStudy runs (once) the paper's two-experiment profiled study.
-func benchStudy(b *testing.B) *core.Study {
-	b.Helper()
-	studyOnce.Do(func() {
-		p := core.DefaultStudy(core.MCF)
-		p.Size = benchTrips()
-		study, studyErr = core.RunStudy(p)
-	})
-	if studyErr != nil {
-		b.Fatal(studyErr)
-	}
-	return study
-}
-
-// timed caches unprofiled MCF timings per configuration so the speedup
-// benchmarks compose without re-running baselines.
-var (
-	timedMu sync.Mutex
-	timings = map[string]uint64{}
-)
-
-func timeMCF(b *testing.B, p core.StudyParams) uint64 {
-	b.Helper()
-	key := fmt.Sprintf("%d/%v/%d/%v", p.Size, p.Layout, p.PageSizeHeap, p.HWCProf)
-	timedMu.Lock()
-	defer timedMu.Unlock()
-	if c, ok := timings[key]; ok {
-		return c
-	}
-	cycles, _, err := core.TimeMCF(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	timings[key] = cycles
-	return cycles
-}
-
-func baseParams() core.StudyParams {
-	p := core.DefaultStudy(core.MCF)
-	p.Size = benchTrips()
-	return p
-}
-
-// --- Figures 1-7 ---
-
-func BenchmarkFig1TotalMetrics(b *testing.B) {
-	s := benchStudy(b)
-	for i := 0; i < b.N; i++ {
-		s.Figure1(io.Discard)
-	}
-	t := s.Analyzer.Total()
-	refs := s.Analyzer.Count(hwc.EvECRef, t.Events[hwc.EvECRef])
-	miss := s.Analyzer.Count(hwc.EvECRdMiss, t.Events[hwc.EvECRdMiss])
-	stallSec := s.Analyzer.Seconds(hwc.EvECStall, t.Events[hwc.EvECStall])
-	b.ReportMetric(100*float64(miss)/float64(refs), "%ECmissRate(paper:6.4)")
-	b.ReportMetric(100*stallSec/s.Seconds, "%stallOfRuntime(paper:54)")
-}
-
-func BenchmarkFig2FunctionList(b *testing.B) {
-	s := benchStudy(b)
-	for i := 0; i < b.N; i++ {
-		s.Figure2(io.Discard)
-	}
-	b.ReportMetric(100*s.FunctionShare("refresh_potential", hwc.EvECStall, true), "%refreshCPU(paper:51.1)")
-	b.ReportMetric(100*s.FunctionShare("refresh_potential", hwc.EvECStall, false), "%refreshStall(paper:61.9)")
-	b.ReportMetric(100*s.FunctionShare("refresh_potential", hwc.EvDTLBMiss, false), "%refreshDTLB(paper:88.0)")
-	b.ReportMetric(100*s.FunctionShare("primal_bea_mpp", hwc.EvECStall, true), "%beaCPU(paper:23.2)")
-}
-
-func BenchmarkFig3AnnotatedSource(b *testing.B) {
-	s := benchStudy(b)
-	for i := 0; i < b.N; i++ {
-		if err := s.Figure3(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig4AnnotatedDisasm(b *testing.B) {
-	s := benchStudy(b)
-	for i := 0; i < b.N; i++ {
-		if err := s.Figure4(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5TopPCs(b *testing.B) {
-	s := benchStudy(b)
-	for i := 0; i < b.N; i++ {
-		s.Figure5(io.Discard, 17)
-	}
-	// Paper Figure 5: the top E$ read-miss PCs concentrate in
-	// refresh_potential and primal_bea_mpp.
-	rows := s.Analyzer.PCs(analyzer.ByEvent(hwc.EvECRdMiss), 5)
-	inHot := 0
-	for _, r := range rows {
-		fn := s.Analyzer.Tab.FuncAt(r.PC)
-		if fn != nil && (fn.Name == "refresh_potential" || fn.Name == "primal_bea_mpp") {
-			inHot++
-		}
-	}
-	b.ReportMetric(float64(inHot), "top5PCsInHotFuncs(paper:5)")
-}
-
-func BenchmarkFig6DataObjects(b *testing.B) {
-	s := benchStudy(b)
-	for i := 0; i < b.N; i++ {
-		s.Figure6(io.Discard)
-	}
-	b.ReportMetric(100*s.ObjectShare("arc", hwc.EvECStall), "%arcStall(paper:55.9)")
-	b.ReportMetric(100*s.ObjectShare("node", hwc.EvECStall), "%nodeStall(paper:41.9)")
-	b.ReportMetric(100*s.Analyzer.Effectiveness(hwc.EvECStall), "%effECStall(paper:>99)")
-	b.ReportMetric(100*s.Analyzer.Effectiveness(hwc.EvECRef), "%effECRef(paper:94)")
-	b.ReportMetric(100*s.Analyzer.Effectiveness(hwc.EvDTLBMiss), "%effDTLB(paper:100)")
-}
-
-func BenchmarkFig7NodeMembers(b *testing.B) {
-	s := benchStudy(b)
-	for i := 0; i < b.N; i++ {
-		if err := s.Figure7(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st, err := s.Analyzer.SplitObjects("node")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(100*st.Fraction(), "%nodesSplit(paper:28)")
-	// Share of node stall carried by the three members the paper calls
-	// out (child, orientation, potential).
-	id, _ := s.Analyzer.Tab.TypeByName("node")
-	nodeTotal := s.Analyzer.ObjMetrics(id).Events[hwc.EvECStall]
-	var hot uint64
-	for i, r := range s.Analyzer.Members(id) {
-		_ = i
-		switch {
-		case contains(r.Name, " child}"), contains(r.Name, " orientation}"), contains(r.Name, " potential}"):
-			hot += r.M.Events[hwc.EvECStall]
-		}
-	}
-	if nodeTotal > 0 {
-		b.ReportMetric(100*float64(hot)/float64(nodeTotal), "%hot3MembersOfNode(paper:~85)")
-	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (func() bool {
-		for i := 0; i+len(sub) <= len(s); i++ {
-			if s[i:i+len(sub)] == sub {
-				return true
-			}
-		}
-		return false
-	})()
-}
-
-// --- §2.1: -xhwcprof runtime overhead (paper: ~1.3%) ---
-
-func BenchmarkHwcprofOverhead(b *testing.B) {
-	base := baseParams()
-	noProf := base
-	noProf.HWCProf = false
-	var with, without uint64
-	for i := 0; i < b.N; i++ {
-		with = timeMCF(b, base)
-		without = timeMCF(b, noProf)
-	}
-	b.ReportMetric(100*(float64(with)-float64(without))/float64(without), "%overhead(paper:1.3)")
-}
-
-// --- §3.3: performance improvements from the analysis ---
-
-func BenchmarkStructLayoutSpeedup(b *testing.B) {
-	base := baseParams()
-	opt := base
-	opt.Layout = mcf.LayoutOptimized.String()
-	var baseC, optC uint64
-	for i := 0; i < b.N; i++ {
-		baseC = timeMCF(b, base)
-		optC = timeMCF(b, opt)
-	}
-	b.ReportMetric(100*(float64(baseC)-float64(optC))/float64(baseC), "%speedup(paper:16.2)")
-}
-
-func BenchmarkPageSizeSpeedup(b *testing.B) {
-	base := baseParams()
-	pg := base
-	pg.PageSizeHeap = 512 << 10
-	var baseC, pgC uint64
-	for i := 0; i < b.N; i++ {
-		baseC = timeMCF(b, base)
-		pgC = timeMCF(b, pg)
-	}
-	b.ReportMetric(100*(float64(baseC)-float64(pgC))/float64(baseC), "%speedup(paper:3.9)")
-}
-
-func BenchmarkCombinedSpeedup(b *testing.B) {
-	base := baseParams()
-	both := base
-	both.Layout = mcf.LayoutOptimized.String()
-	both.PageSizeHeap = 512 << 10
-	var baseC, bothC uint64
-	for i := 0; i < b.N; i++ {
-		baseC = timeMCF(b, base)
-		bothC = timeMCF(b, both)
-	}
-	b.ReportMetric(100*(float64(baseC)-float64(bothC))/float64(baseC), "%speedup(paper:20.7)")
-}
-
-// --- §4 future work ---
-
-func BenchmarkAddressSpaceReports(b *testing.B) {
-	s := benchStudy(b)
-	for i := 0; i < b.N; i++ {
-		s.Analyzer.AddressSpaceReport(io.Discard, analyzer.ByEvent(hwc.EvECRdMiss), 10)
-	}
-	// Heap share of EA-resolved stall events (MCF's data lives on the
-	// heap, so this should be essentially everything).
-	var heap, all uint64
-	for _, r := range s.Analyzer.Segments() {
-		all += r.M.Events[hwc.EvECStall]
-		if r.Seg.String() == "Heap" {
-			heap += r.M.Events[hwc.EvECStall]
-		}
-	}
-	if all > 0 {
-		b.ReportMetric(100*float64(heap)/float64(all), "%stallEventsInHeap")
-	}
-}
-
-func BenchmarkPrefetchFeedback(b *testing.B) {
-	s := benchStudy(b)
-	fb := s.Analyzer.PrefetchFeedback(0.01)
-	if len(fb) == 0 {
-		b.Fatal("no prefetch feedback produced")
-	}
-	prog, err := mcf.Program(mcf.LayoutPaper, cc.Options{HWCProf: true, PrefetchFeedback: fb})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ins := mcf.Generate(mcf.DefaultGenParams(s.Params.Size, s.Params.Seed))
-	cfg := core.StudyMachine()
-	var withPf uint64
-	for i := 0; i < b.N; i++ {
-		m, err := core.RunOnce(prog, ins.Encode(), &cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		withPf = m.Stats().Cycles
-	}
-	base := timeMCF(b, baseParams())
-	b.ReportMetric(100*(float64(base)-float64(withPf))/float64(base), "%speedup(upper-bound)")
-}
-
-// --- ablations (DESIGN.md) ---
-
-// BenchmarkAblationNoBacktrack shows data-object attribution collapsing
-// when counters are armed without the "+" backtracking prefix.
-func BenchmarkAblationNoBacktrack(b *testing.B) {
-	prog, err := mcf.Program(mcf.LayoutPaper, cc.Options{HWCProf: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ins := mcf.Generate(mcf.DefaultGenParams(benchTrips()/2, 20030717))
-	cfg := core.StudyMachine()
-	var share float64
-	for i := 0; i < b.N; i++ {
-		res, err := core.CollectRun(context.Background(), prog, "ecstall,100003", collect.Options{Machine: &cfg, Input: ins.Encode()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := core.Analyze(res.Exp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		id, _ := a.Tab.TypeByName("arc")
-		nid, _ := a.Tab.TypeByName("node")
-		t := a.Total()
-		if t.Events[hwc.EvECStall] > 0 {
-			share = float64(a.ObjMetrics(id).Events[hwc.EvECStall]+a.ObjMetrics(nid).Events[hwc.EvECStall]) /
-				float64(t.Events[hwc.EvECStall])
-		}
-	}
-	s := benchStudy(b)
-	withBT := s.ObjectShare("arc", hwc.EvECStall) + s.ObjectShare("node", hwc.EvECStall)
-	b.ReportMetric(100*share, "%arc+nodeAttrib(noBacktrack)")
-	b.ReportMetric(100*withBT, "%arc+nodeAttrib(withBacktrack)")
 }
 
 // --- profiling service (internal/profd) ---
@@ -580,33 +279,6 @@ func BenchmarkShardedReduce(b *testing.B) {
 	b.ReportMetric(serial.Seconds()/par.Seconds(), "xSpeedup4Workers")
 	b.ReportMetric(float64(peakEager)/(1<<20), "peakHeapMBEager")
 	b.ReportMetric(float64(peakStream)/(1<<20), "peakHeapMBStreaming")
-}
-
-// BenchmarkAblationNoPadding measures the effect of dropping the
-// -xhwcprof compiler support entirely: every event lands in
-// (Unascertainable) and attribution is impossible.
-func BenchmarkAblationNoPadding(b *testing.B) {
-	prog, err := mcf.Program(mcf.LayoutPaper, cc.Options{HWCProf: false})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ins := mcf.Generate(mcf.DefaultGenParams(benchTrips()/2, 20030717))
-	cfg := core.StudyMachine()
-	var eff float64
-	for i := 0; i < b.N; i++ {
-		res, err := core.CollectRun(context.Background(), prog, "+ecstall,100003", collect.Options{Machine: &cfg, Input: ins.Encode()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		a, err := core.Analyze(res.Exp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eff = a.Effectiveness(hwc.EvECStall)
-	}
-	s := benchStudy(b)
-	b.ReportMetric(100*eff, "%effectiveness(noHwcprof)")
-	b.ReportMetric(100*s.Analyzer.Effectiveness(hwc.EvECStall), "%effectiveness(withHwcprof)")
 }
 
 // --- simulator fast path (DESIGN.md §7, §11) ---

@@ -5,23 +5,22 @@
 //	dsprof study    [-trips 1200] [-o figures/]   # Figures 1-7 + §4 reports
 //	dsprof speedups [-trips 1200]                 # §2.1 overhead + §3.3 speedups
 //
-// The study takes minutes of simulation at the default paper-scale
-// configuration; use -trips 400 for a quick look.
+// At the default 1200 trips, `dsprof study -o docs/sample-figures`
+// regenerates the checked-in figures byte for byte (TestSampleFigures
+// compares them) and speedups prints the cycle counts TestPaperNumbers
+// pins. Each takes seconds to a minute of simulation; use -trips 400
+// for a quick look.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
 
-	"dsprof/internal/analyzer"
 	"dsprof/internal/cli"
 	"dsprof/internal/core"
-	"dsprof/internal/hwc"
-	"dsprof/internal/mcf"
 	"dsprof/internal/version"
 )
 
@@ -73,48 +72,8 @@ func runStudy(trips int, outDir string) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, f func(io.Writer) error) error {
-		path := filepath.Join(outDir, name)
-		file, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := f(file); err != nil {
-			file.Close()
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		if err := file.Close(); err != nil {
-			return err
-		}
-		log.Printf("wrote %s", path)
-		return nil
-	}
-	figures := []struct {
-		name string
-		f    func(io.Writer) error
-	}{
-		{"fig1-total.txt", func(f io.Writer) error { s.Figure1(f); return nil }},
-		{"fig2-functions.txt", func(f io.Writer) error { s.Figure2(f); return nil }},
-		{"fig3-annotated-source.txt", s.Figure3},
-		{"fig4-annotated-disasm.txt", s.Figure4},
-		{"fig5-pcs.txt", func(f io.Writer) error { s.Figure5(f, 17); return nil }},
-		{"fig6-data-objects.txt", func(f io.Writer) error { s.Figure6(f); return nil }},
-		{"fig7-node-members.txt", s.Figure7},
-		{"addrspace.txt", func(f io.Writer) error {
-			s.Analyzer.AddressSpaceReport(f, analyzer.ByEvent(hwc.EvECRdMiss), 10)
-			return nil
-		}},
-		{"lines.txt", func(f io.Writer) error {
-			s.Analyzer.LineList(f, analyzer.ByEvent(hwc.EvECStall), 20)
-			return nil
-		}},
-		{"feedback.txt", func(f io.Writer) error {
-			s.Analyzer.WriteFeedbackFile(f, 0.01)
-			return nil
-		}},
-	}
-	for _, fig := range figures {
-		if err := write(fig.name, fig.f); err != nil {
+	for _, fig := range s.Figures() {
+		if err := writeFigure(outDir, fig); err != nil {
 			return err
 		}
 	}
@@ -122,40 +81,33 @@ func runStudy(trips int, outDir string) error {
 	return nil
 }
 
+func writeFigure(dir string, fig core.Figure) error {
+	path := filepath.Join(dir, fig.File)
+	file, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fig.Render(file); err != nil {
+		file.Close()
+		return fmt.Errorf("%s: %w", fig.File, err)
+	}
+	if err := file.Close(); err != nil {
+		return err
+	}
+	log.Printf("wrote %s", path)
+	return nil
+}
+
 func runSpeedups(trips int) error {
 	base := core.DefaultStudy(core.MCF)
 	base.Size = trips
-	variant := func(name string, p core.StudyParams) error {
-		cycles, out, err := core.TimeMCF(p)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Printf("%-36s %14d cycles  cost=%d\n", name, cycles, out.Cost)
-		return nil
-	}
 	fmt.Printf("timing MCF variants (trips=%d, unprofiled)...\n", trips)
-	noProf := base
-	noProf.HWCProf = false
-	opt := base
-	opt.Layout = mcf.LayoutOptimized.String()
-	pages := base
-	pages.PageSizeHeap = 512 << 10
-	both := opt
-	both.PageSizeHeap = 512 << 10
-	variants := []struct {
-		name string
-		p    core.StudyParams
-	}{
-		{"baseline (-xhwcprof, paper layout)", base},
-		{"without -xhwcprof (§2.1)", noProf},
-		{"optimized struct layout (§3.3)", opt},
-		{"-xpagesize_heap=512k (§3.3)", pages},
-		{"combined (§3.3)", both},
-	}
-	for _, v := range variants {
-		if err := variant(v.name, v.p); err != nil {
-			return err
+	for _, v := range core.PaperVariants(base) {
+		st, out, err := core.TimeMCF(v.Params)
+		if err != nil {
+			return fmt.Errorf("%s: %w", v.Name, err)
 		}
+		fmt.Printf("%-36s %14d cycles  cost=%d\n", v.Name, st.Cycles, out.Cost)
 	}
 	return nil
 }

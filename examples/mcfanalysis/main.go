@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"dsprof/internal/analyzer"
 	"dsprof/internal/core"
@@ -32,27 +33,17 @@ func main() {
 		s.Output.Cost, s.Output.Pivots, s.Output.Refreshes, s.Output.PriceOuts)
 	fmt.Printf("run time: %.3f simulated seconds\n\n", s.Seconds)
 
-	s.Figure1(os.Stdout)
-	fmt.Println()
-	s.Figure2(os.Stdout)
-	fmt.Println()
-	if err := s.Figure3(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	if err := s.Figure4(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println()
-	s.Figure5(os.Stdout, 15)
-	fmt.Println()
-	s.Figure6(os.Stdout)
-	fmt.Println()
-	if err := s.Figure7(os.Stdout); err != nil {
-		log.Fatal(err)
+	for _, fig := range s.Figures() {
+		if !strings.HasPrefix(fig.File, "fig") {
+			continue // the §4 reports follow, at this example's sizes
+		}
+		if err := fig.Render(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println()
 	}
 
-	fmt.Println("\n==== §4 future-work reports: address-space breakdown ====")
+	fmt.Println("==== §4 future-work reports: address-space breakdown ====")
 	s.Analyzer.AddressSpaceReport(os.Stdout, analyzer.ByEvent(hwc.EvECRdMiss), 8)
 
 	fmt.Println("\n==== §4 future-work reports: hottest node instances ====")

@@ -24,8 +24,9 @@ func main() {
 	ins := mcf.Generate(mcf.DefaultGenParams(*trips, 20030717))
 	cfg := core.StudyMachine()
 	// Scale the TLB with the instance so the demo shows the paper's
-	// effect at small sizes too (the paper-scale study in bench_test.go
-	// uses the standard 128-entry TLB with 1200-trip instances).
+	// effect at small sizes too (the paper-scale study, `dsprof
+	// speedups`, uses the standard 128-entry TLB with 1200-trip
+	// instances).
 	if *trips < 1000 {
 		cfg.TLB.Entries = 16
 	}

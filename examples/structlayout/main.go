@@ -38,22 +38,22 @@ func main() {
 	fmt.Println("  (the paper found 28% of its 120-byte nodes split this way)")
 
 	fmt.Println("\nTiming both layouts without profiling...")
-	baseCycles, baseOut, err := core.TimeMCF(base)
+	baseStats, baseOut, err := core.TimeMCF(base)
 	if err != nil {
 		log.Fatal(err)
 	}
 	opt := base
 	opt.Layout = mcf.LayoutOptimized.String()
-	optCycles, optOut, err := core.TimeMCF(opt)
+	optStats, optOut, err := core.TimeMCF(opt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if baseOut.Cost != optOut.Cost {
 		log.Fatalf("layouts computed different answers: %d vs %d", baseOut.Cost, optOut.Cost)
 	}
-	gain := 100 * (float64(baseCycles) - float64(optCycles)) / float64(baseCycles)
-	fmt.Printf("  paper layout:     %12d cycles\n", baseCycles)
-	fmt.Printf("  optimized layout: %12d cycles\n", optCycles)
+	gain := 100 * (float64(baseStats.Cycles) - float64(optStats.Cycles)) / float64(baseStats.Cycles)
+	fmt.Printf("  paper layout:     %12d cycles\n", baseStats.Cycles)
+	fmt.Printf("  optimized layout: %12d cycles\n", optStats.Cycles)
 	fmt.Printf("  improvement:      %.1f%%  (paper: 16.2%%)\n", gain)
 	fmt.Printf("  identical result: cost=%d\n", baseOut.Cost)
 }

@@ -12,9 +12,10 @@ import (
 	"dsprof/internal/mcf"
 )
 
-// Tests run a reduced-scale study (the benchmarks in bench_test.go run
-// the full paper-scale study); the qualitative shape assertions here are
-// the ones the paper's figures rest on.
+// Tests run a reduced-scale study (the root package's TestSampleFigures
+// and TestPaperNumbers check the full paper-scale study); the
+// qualitative shape assertions here are the ones the paper's figures
+// rest on.
 
 const testTrips = 500
 
@@ -75,8 +76,8 @@ func TestStudyFunctionShape(t *testing.T) {
 		t.Errorf("top-2 functions E$ stall share %.2f, want >= 0.7", refreshStall+beaStall)
 	}
 	// At full study scale refresh_potential owns the large majority of
-	// DTLB misses (paper: 88%; the paper-scale study in bench_test.go
-	// measures ~85%). At this reduced test scale the node:arc page ratio
+	// DTLB misses (paper: 88%; TestPaperNumbers pins the paper-scale
+	// study's 84.5%). At this reduced test scale the node:arc page ratio
 	// shifts, so only require a substantial share.
 	refreshDTLB := s.FunctionShare("refresh_potential", hwc.EvDTLBMiss, false)
 	if refreshDTLB < 0.2 {
@@ -153,51 +154,47 @@ func TestStudyEffectiveness(t *testing.T) {
 	}
 }
 
+// renderFigure renders the study's figure file by name.
+func renderFigure(t *testing.T, s *Study, file string) string {
+	t.Helper()
+	for _, fig := range s.Figures() {
+		if fig.File == file {
+			var b strings.Builder
+			if err := fig.Render(&b); err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			return b.String()
+		}
+	}
+	t.Fatalf("study has no figure %s", file)
+	return ""
+}
+
 func TestStudyFiguresRender(t *testing.T) {
 	s := studyForTest(t)
-	var b strings.Builder
-	s.Figure1(&b)
-	if !strings.Contains(b.String(), "E$ Read Miss Rate") {
+	if !strings.Contains(renderFigure(t, s, "fig1-total.txt"), "E$ Read Miss Rate") {
 		t.Error("Figure 1 incomplete")
 	}
-	b.Reset()
-	s.Figure2(&b)
-	if !strings.Contains(b.String(), "refresh_potential") {
+	if !strings.Contains(renderFigure(t, s, "fig2-functions.txt"), "refresh_potential") {
 		t.Error("Figure 2 incomplete")
 	}
-	b.Reset()
-	if err := s.Figure3(&b); err != nil {
-		t.Fatal(err)
+	if src := renderFigure(t, s, "fig3-annotated-source.txt"); !strings.Contains(src, "node->orientation == 1") {
+		t.Errorf("Figure 3 missing critical-loop source:\n%s", src)
 	}
-	if !strings.Contains(b.String(), "node->orientation == 1") {
-		t.Errorf("Figure 3 missing critical-loop source:\n%s", b.String())
-	}
-	b.Reset()
-	if err := s.Figure4(&b); err != nil {
-		t.Fatal(err)
-	}
-	dis := b.String()
+	dis := renderFigure(t, s, "fig4-annotated-disasm.txt")
 	for _, want := range []string{"ldx", "{structure:node -}{long orientation}", "<branch target>"} {
 		if !strings.Contains(dis, want) {
 			t.Errorf("Figure 4 missing %q", want)
 		}
 	}
-	b.Reset()
-	s.Figure5(&b, 10)
-	if !strings.Contains(b.String(), "{structure:") {
+	if !strings.Contains(renderFigure(t, s, "fig5-pcs.txt"), "{structure:") {
 		t.Error("Figure 5 missing data-object descriptors")
 	}
-	b.Reset()
-	s.Figure6(&b)
-	if !strings.Contains(b.String(), "{structure:arc -}") || !strings.Contains(b.String(), "effectiveness") {
+	if objs := renderFigure(t, s, "fig6-data-objects.txt"); !strings.Contains(objs, "{structure:arc -}") || !strings.Contains(objs, "effectiveness") {
 		t.Error("Figure 6 incomplete")
 	}
-	b.Reset()
-	if err := s.Figure7(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "+56") || !strings.Contains(b.String(), "split across") {
-		t.Errorf("Figure 7 incomplete:\n%s", b.String())
+	if members := renderFigure(t, s, "fig7-node-members.txt"); !strings.Contains(members, "+56") || !strings.Contains(members, "split across") {
+		t.Errorf("Figure 7 incomplete:\n%s", members)
 	}
 }
 
@@ -206,11 +203,7 @@ func TestFigure4CriticalLoopLooksLikeThePaper(t *testing.T) {
 	// show the paper's signature: costly metrics on the orientation and
 	// cost loads, with data-object descriptors naming them.
 	s := studyForTest(t)
-	var b strings.Builder
-	if err := s.Figure4(&b); err != nil {
-		t.Fatal(err)
-	}
-	dis := b.String()
+	dis := renderFigure(t, s, "fig4-annotated-disasm.txt")
 	for _, want := range []string{
 		"{structure:node -}{long orientation}",
 		"{structure:node -}{pointer+structure:node child}",

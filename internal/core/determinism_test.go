@@ -20,12 +20,8 @@ func TestStudyDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		s.Figure1(&b)
-		s.Figure2(&b)
-		s.Figure5(&b, 10)
-		s.Figure6(&b)
-		if err := s.Figure7(&b); err != nil {
-			t.Fatal(err)
+		for _, f := range []string{"fig1-total.txt", "fig2-functions.txt", "fig5-pcs.txt", "fig6-data-objects.txt", "fig7-node-members.txt"} {
+			b.WriteString(renderFigure(t, s, f))
 		}
 		return b.String()
 	}
@@ -51,7 +47,7 @@ func TestStudySeedSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ca == cb {
+	if ca.Cycles == cb.Cycles {
 		t.Error("different seeds produced identical cycle counts (suspicious)")
 	}
 }

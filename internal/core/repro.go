@@ -15,10 +15,12 @@ import (
 )
 
 // repro.go is the paper-reproduction harness: it runs the MCF case study
-// (§3) end to end and regenerates each figure of the evaluation. The
-// study runs on a proportionally scaled system (see StudyMachine) with
-// instance sizes chosen so the working-set:cache ratios match the
-// paper's regime; EXPERIMENTS.md records paper-vs-measured values.
+// (§3) end to end and regenerates each figure of the evaluation
+// (Study.Figures) and each timed variant (PaperVariants). The study runs
+// on a proportionally scaled system (see StudyMachine) with instance
+// sizes chosen so the working-set:cache ratios match the paper's regime;
+// EXPERIMENTS.md records paper-vs-measured values, which the root
+// package's TestSampleFigures and TestPaperNumbers check.
 
 // StudyParams configure one profiling study of a bundled workload.
 type StudyParams struct {
@@ -128,88 +130,129 @@ func RunStudy(p StudyParams) (*Study, error) {
 }
 
 // TimeMCF runs an MCF study's program once without profiling and returns
-// simulated cycles — the measurement behind the §3.3 speedup and §2.1
-// overhead experiments.
-func TimeMCF(p StudyParams) (uint64, *mcf.Output, error) {
+// the machine's exact statistics — their Cycles are the measurement
+// behind the §3.3 speedup and §2.1 overhead experiments.
+func TimeMCF(p StudyParams) (machine.Stats, *mcf.Output, error) {
 	t, err := p.Target()
 	if err != nil {
-		return 0, nil, err
+		return machine.Stats{}, nil, err
 	}
 	prog, err := cc.Compile(t.Sources, t.Options)
 	if err != nil {
-		return 0, nil, err
+		return machine.Stats{}, nil, err
 	}
 	m, err := RunOnce(prog, t.Input, t.Machine)
 	if err != nil {
-		return 0, nil, err
+		return machine.Stats{}, nil, err
 	}
 	out, err := mcfOutput(m.OutputLongs())
 	if err != nil {
-		return 0, nil, err
+		return machine.Stats{}, nil, err
 	}
-	return m.Stats().Cycles, out, nil
+	return m.Stats(), out, nil
 }
 
-// --- figure renderers ---
-
-// Figure1 renders the <Total> metrics (paper Figure 1).
-func (s *Study) Figure1(w io.Writer) {
-	l, _ := s.Params.Workload.Layout(s.Params.Layout) // RunStudy resolved it
-	fmt.Fprintf(w, "Figure 1: performance metrics for <Total>  (trips=%d, layout=%s)\n\n",
-		s.Params.Size, s.Params.Workload.Layouts[l])
-	s.Analyzer.TotalReport(w)
+// Variant is one configuration of the paper's MCF timing experiments.
+type Variant struct {
+	Name   string
+	Params StudyParams
 }
 
-// Figure2 renders the function list (paper Figure 2).
-func (s *Study) Figure2(w io.Writer) {
-	fmt.Fprintf(w, "Figure 2: the function list\n\n")
-	s.Analyzer.FunctionList(w, analyzer.ByUserCPU)
-}
-
-// Figure3 renders the annotated source of refresh_potential's critical
-// loop (paper Figure 3).
-func (s *Study) Figure3(w io.Writer) error {
-	fmt.Fprintf(w, "Figure 3: annotated source of refresh_potential\n\n")
-	return s.Analyzer.AnnotatedSource(w, "refresh_potential")
-}
-
-// Figure4 renders the annotated disassembly of refresh_potential (paper
-// Figure 4).
-func (s *Study) Figure4(w io.Writer) error {
-	fmt.Fprintf(w, "Figure 4: annotated disassembly of refresh_potential\n\n")
-	return s.Analyzer.AnnotatedDisasm(w, "refresh_potential")
-}
-
-// Figure5 renders the top PCs ranked by E$ read misses (paper Figure 5).
-func (s *Study) Figure5(w io.Writer, n int) {
-	fmt.Fprintf(w, "Figure 5: PCs ranked by E$ Read Misses\n\n")
-	s.Analyzer.PCList(w, analyzer.ByEvent(hwc.EvECRdMiss), n)
-}
-
-// Figure6 renders the data objects ranked by E$ stall cycles (paper
-// Figure 6), plus the backtracking-effectiveness summary the paper
-// derives from it.
-func (s *Study) Figure6(w io.Writer) {
-	fmt.Fprintf(w, "Figure 6: data objects ranked by E$ Stall Cycles\n\n")
-	s.Analyzer.DataObjectList(w, analyzer.ByEvent(hwc.EvECStall))
-	fmt.Fprintf(w, "\n")
-	s.Analyzer.EffectivenessReport(w)
-}
-
-// Figure7 renders the structure:node member expansion (paper Figure 7)
-// and the split-object statistic discussed with it.
-func (s *Study) Figure7(w io.Writer) error {
-	fmt.Fprintf(w, "Figure 7: data object structure:node expansion\n\n")
-	if err := s.Analyzer.MemberList(w, "node"); err != nil {
-		return err
+// PaperVariants returns the five configurations dsprof speedups times
+// from base: the profiled baseline, the §2.1 build without -xhwcprof,
+// and the §3.3 optimized struct layout, 512 KB heap pages and both.
+func PaperVariants(base StudyParams) []Variant {
+	noProf := base
+	noProf.HWCProf = false
+	opt := base
+	opt.Layout = mcf.LayoutOptimized.String()
+	pages := base
+	pages.PageSizeHeap = 512 << 10
+	both := opt
+	both.PageSizeHeap = 512 << 10
+	return []Variant{
+		{"baseline (-xhwcprof, paper layout)", base},
+		{"without -xhwcprof (§2.1)", noProf},
+		{"optimized struct layout (§3.3)", opt},
+		{"-xpagesize_heap=512k (§3.3)", pages},
+		{"combined (§3.3)", both},
 	}
-	st, err := s.Analyzer.SplitObjects("node")
-	if err != nil {
-		return err
+}
+
+// Figure is one file of the study's evaluation: its name and its
+// renderer.
+type Figure struct {
+	File   string
+	Render func(io.Writer) error
+}
+
+// Figures returns the files dsprof study writes, in order: the paper's
+// Figures 1-7, then the §4 address-space, source-line and
+// prefetch-feedback reports.
+func (s *Study) Figures() []Figure {
+	a := s.Analyzer
+	return []Figure{
+		{"fig1-total.txt", func(w io.Writer) error {
+			l, _ := s.Params.Workload.Layout(s.Params.Layout) // RunStudy resolved it
+			fmt.Fprintf(w, "Figure 1: performance metrics for <Total>  (trips=%d, layout=%s)\n\n",
+				s.Params.Size, s.Params.Workload.Layouts[l])
+			a.TotalReport(w)
+			return nil
+		}},
+		{"fig2-functions.txt", func(w io.Writer) error {
+			fmt.Fprintf(w, "Figure 2: the function list\n\n")
+			a.FunctionList(w, analyzer.ByUserCPU)
+			return nil
+		}},
+		{"fig3-annotated-source.txt", func(w io.Writer) error {
+			fmt.Fprintf(w, "Figure 3: annotated source of refresh_potential\n\n")
+			return a.AnnotatedSource(w, "refresh_potential")
+		}},
+		{"fig4-annotated-disasm.txt", func(w io.Writer) error {
+			fmt.Fprintf(w, "Figure 4: annotated disassembly of refresh_potential\n\n")
+			return a.AnnotatedDisasm(w, "refresh_potential")
+		}},
+		{"fig5-pcs.txt", func(w io.Writer) error {
+			fmt.Fprintf(w, "Figure 5: PCs ranked by E$ Read Misses\n\n")
+			a.PCList(w, analyzer.ByEvent(hwc.EvECRdMiss), 17)
+			return nil
+		}},
+		{"fig6-data-objects.txt", func(w io.Writer) error {
+			// Plus the backtracking-effectiveness summary the paper
+			// derives from the data-object view.
+			fmt.Fprintf(w, "Figure 6: data objects ranked by E$ Stall Cycles\n\n")
+			a.DataObjectList(w, analyzer.ByEvent(hwc.EvECStall))
+			fmt.Fprintf(w, "\n")
+			a.EffectivenessReport(w)
+			return nil
+		}},
+		{"fig7-node-members.txt", func(w io.Writer) error {
+			// Plus the split-object statistic discussed with it.
+			fmt.Fprintf(w, "Figure 7: data object structure:node expansion\n\n")
+			if err := a.MemberList(w, "node"); err != nil {
+				return err
+			}
+			st, err := a.SplitObjects("node")
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "\n%d-byte node objects split across %d-byte E$ lines: %d of %d (%.0f%%)\n",
+				st.Size, st.LineBytes, st.Split, st.Total, 100*st.Fraction())
+			return nil
+		}},
+		{"addrspace.txt", func(w io.Writer) error {
+			a.AddressSpaceReport(w, analyzer.ByEvent(hwc.EvECRdMiss), 10)
+			return nil
+		}},
+		{"lines.txt", func(w io.Writer) error {
+			a.LineList(w, analyzer.ByEvent(hwc.EvECStall), 20)
+			return nil
+		}},
+		{"feedback.txt", func(w io.Writer) error {
+			a.WriteFeedbackFile(w, 0.01)
+			return nil
+		}},
 	}
-	fmt.Fprintf(w, "\n%d-byte node objects split across %d-byte E$ lines: %d of %d (%.0f%%)\n",
-		st.Size, st.LineBytes, st.Split, st.Total, 100*st.Fraction())
-	return nil
 }
 
 // FunctionShare returns a function's share (0..1) of the given metric,

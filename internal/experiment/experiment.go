@@ -79,9 +79,6 @@ type ClockEvent struct {
 // it never decodes into silently wrong data.
 const FormatVersion = 2
 
-// oldestReadableVersion is the oldest format Load still understands.
-const oldestReadableVersion = 2
-
 // Meta is the experiment header (the log/loadobjects information).
 type Meta struct {
 	FormatVersion   int
@@ -595,9 +592,9 @@ func open(dir string) (*Experiment, error) {
 	if err := readGob(dir, metaFile, &e.Meta); err != nil {
 		return nil, fmt.Errorf("experiment %s: reading meta: %w", dir, err)
 	}
-	if v := e.Meta.FormatVersion; v < oldestReadableVersion || v > FormatVersion {
-		return nil, fmt.Errorf("experiment %s: format version %d, want %d..%d (re-collect the experiment)",
-			dir, v, oldestReadableVersion, FormatVersion)
+	if v := e.Meta.FormatVersion; v != FormatVersion {
+		return nil, fmt.Errorf("experiment %s: format version %d, want %d (re-collect the experiment)",
+			dir, v, FormatVersion)
 	}
 	if n := len(e.Meta.Counters); n != NumPICs {
 		return nil, fmt.Errorf("experiment %s: corrupted meta: %d counter slots, want %d", dir, n, NumPICs)
@@ -653,14 +650,15 @@ func openStream(dir string, sf shardFile) (stream, error) {
 }
 
 // ReadMeta reads just the meta header of an experiment directory,
-// without touching event data. It accepts any readable format version.
+// without touching event data. It accepts only the current format
+// version.
 func ReadMeta(dir string) (*Meta, error) {
 	var m Meta
 	if err := readGob(dir, metaFile, &m); err != nil {
 		return nil, fmt.Errorf("experiment %s: reading meta: %w", dir, err)
 	}
-	if v := m.FormatVersion; v < oldestReadableVersion || v > FormatVersion {
-		return nil, fmt.Errorf("experiment %s: format version %d, want %d..%d", dir, v, oldestReadableVersion, FormatVersion)
+	if v := m.FormatVersion; v != FormatVersion {
+		return nil, fmt.Errorf("experiment %s: format version %d, want %d", dir, v, FormatVersion)
 	}
 	return &m, nil
 }

@@ -189,9 +189,9 @@ func RecoverFS(fsys faultfs.FS, dir string) (*RecoveryReport, error) {
 	if err := readGob(dir, metaFile, &e.Meta); err != nil {
 		return nil, fmt.Errorf("experiment %s: %w: reading meta: %v", dir, ErrUnrecoverable, err)
 	}
-	if v := e.Meta.FormatVersion; v < oldestReadableVersion || v > FormatVersion {
-		return nil, fmt.Errorf("experiment %s: %w: format version %d, want %d..%d",
-			dir, ErrUnrecoverable, v, oldestReadableVersion, FormatVersion)
+	if v := e.Meta.FormatVersion; v != FormatVersion {
+		return nil, fmt.Errorf("experiment %s: %w: format version %d, want %d",
+			dir, ErrUnrecoverable, v, FormatVersion)
 	}
 	if n := len(e.Meta.Counters); n != NumPICs {
 		return nil, fmt.Errorf("experiment %s: %w: corrupted meta: %d counter slots, want %d",

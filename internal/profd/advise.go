@@ -9,8 +9,8 @@ package profd
 // execute in advisor.Validate, called from the adviser's goroutine, on
 // up to GOMAXPROCS goroutines of its own, outside the scheduler's
 // worker bound. The validation experiments are stored like any other,
-// so the before/after profiles stay queryable through the report API
-// afterwards.
+// one per distinct re-run, so the before/after profiles stay queryable
+// through the report API afterwards.
 
 import (
 	"bytes"
@@ -23,6 +23,7 @@ import (
 
 	"dsprof/internal/advisor"
 	"dsprof/internal/analyzer"
+	"dsprof/internal/asm"
 	"dsprof/internal/core"
 	"dsprof/internal/experiment"
 )
@@ -303,15 +304,24 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 	}
 
 	// Persist the validation runs so their profiles stay queryable; the
-	// synthetic spec records what was actually collected.
+	// synthetic spec records what was actually collected. Results that
+	// share a re-run share its program (every distinct run compiles its
+	// own), so each run is stored once, under its first result's label,
+	// and a later result lists that experiment again.
 	var validIDs []string
+	stored := make(map[*asm.Program]string)
 	store := func(r *advisor.RecResult, label string) {
 		if r == nil || r.Exp == nil {
+			return
+		}
+		if id, ok := stored[r.Exp.Prog]; ok {
+			validIDs = append(validIDs, id)
 			return
 		}
 		vs := specA
 		vs.Name = label
 		if rec, perr := ad.store.Put(&vs, r.Exp); perr == nil {
+			stored[r.Exp.Prog] = rec.ID
 			validIDs = append(validIDs, rec.ID)
 		}
 	}

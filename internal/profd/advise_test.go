@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"dsprof/internal/analyzer"
+	"dsprof/internal/asm"
 	"dsprof/internal/collect"
 	"dsprof/internal/experiment"
 )
@@ -94,17 +96,33 @@ func TestAdvisorHTTPFlow(t *testing.T) {
 	if final.Advice == nil || len(final.Advice.Recs) == 0 {
 		t.Fatal("no recommendations in final status")
 	}
-	// Every validation result is stored under its own label, results
-	// that share a re-run (split:node and reorder:node) included, then
-	// the combined run.
+	// Every validation result lists one experiment, then the combined
+	// run. Results that share a re-run (split:node and reorder:node)
+	// share its program and its one stored experiment, labelled with the
+	// first such result: at this spec the five results take three runs,
+	// so four distinct experiments hold the validation data.
 	if len(final.Results) == 0 || len(final.ValidationExps) != len(final.Results)+1 {
 		t.Fatalf("validation experiments %v, want one per result (%d) plus combined", final.ValidationExps, len(final.Results))
 	}
+	runs := make(map[*asm.Program]bool)
+	for _, r := range j.Status().Results {
+		runs[r.Exp.Prog] = true
+	}
+	firstLabel := make(map[string]string)
 	for i, id := range final.ValidationExps {
 		want := "combined"
 		if i < len(final.Results) {
 			want = final.Results[i].Rec.Kind + ":" + final.Results[i].Rec.Struct
 		}
+		if _, seen := firstLabel[id]; !seen {
+			firstLabel[id] = want
+		}
+	}
+	if len(firstLabel) != len(runs)+1 || len(firstLabel) != 4 {
+		t.Errorf("%d distinct validation experiments in %v, want %d runs plus combined (4)", len(firstLabel), final.ValidationExps, len(runs))
+	}
+	events := make(map[string]string)
+	for id, want := range firstLabel {
 		rec, ok := store.Get(id)
 		if !ok {
 			t.Errorf("validation experiment %s missing from store", id)
@@ -113,12 +131,22 @@ func TestAdvisorHTTPFlow(t *testing.T) {
 		if rec.Label != want {
 			t.Errorf("validation experiment %s labelled %q, want %q", id, rec.Label, want)
 		}
-		m, err := experiment.ReadMeta(filepath.Join(store.Root(), rec.Dir))
+		dir := filepath.Join(store.Root(), rec.Dir)
+		m, err := experiment.ReadMeta(dir)
 		if err != nil {
 			t.Error(err)
 		} else if m.Label != want {
 			t.Errorf("validation experiment %s saved with label %q, want %q", id, m.Label, want)
 		}
+		ev, err := os.ReadFile(filepath.Join(dir, "hwc0.ev2"))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if other, dup := events[string(ev)]; dup {
+			t.Errorf("validation experiments %s and %s store the same hwc0.ev2", other, id)
+		}
+		events[string(ev)] = id
 	}
 
 	// The job's report must start with the exact bytes of the "advice"
