@@ -23,7 +23,8 @@
 // -o FILE is all-or-nothing: a failed run leaves FILE untouched.
 //
 // Exit status: 0 on success, 1 on runtime failure, 2 on usage errors
-// (unknown command, bad token) — erprint's conventions.
+// (unknown command, bad token, an option out of its range) — erprint's
+// conventions.
 package main
 
 import (
@@ -148,8 +149,9 @@ func runLoop(args []string) error {
 	if *size < 0 {
 		return cli.Usagef("negative size %d", *size)
 	}
-	if *topN < 0 {
-		return cli.Usagef("negative -n %d", *topN)
+	opts := advisor.Options{Window: *window, MinShare: *minShare, MaxRecs: *topN}
+	if err := opts.Check(); err != nil {
+		return cli.UsageError{Err: err}
 	}
 	if *size == 0 {
 		*size = w.DefaultSize
@@ -163,7 +165,7 @@ func runLoop(args []string) error {
 			Workload: w, Layout: *layout, Size: *size, Seed: *seed, HWCProf: true, Machine: &cfg,
 		},
 		Intervals: w.Intervals(*size),
-		Advisor:   advisor.Options{Window: *window, MinShare: *minShare, MaxRecs: *topN},
+		Advisor:   opts,
 	})
 	if err != nil {
 		return err

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -84,7 +85,7 @@ func main() {
 	// paper's two experiments and merge them.
 	cfg := machine.ScaledConfig()
 	input := []int64{30000}
-	a, resA, _, err := core.ProfilePaperStyle(prog, input, &cfg, core.PaperIntervals{
+	a, resA, _, err := core.ProfilePaperStyle(context.Background(), prog, input, &cfg, core.PaperIntervals{
 		ECStall: 20011, ECRdMiss: 1009, ECRef: 4001, DTLBMiss: 503,
 	})
 	if err != nil {

@@ -42,6 +42,21 @@ type Options struct {
 	SitePools bool
 }
 
+// Check reports an option outside its range: a negative Window or
+// MaxRecs, or a MinShare outside [0, 1] (NaN included, which would
+// admit every struct). Zero selects the default.
+func (o Options) Check() error {
+	switch {
+	case o.Window < 0:
+		return fmt.Errorf("advisor: negative window %d", o.Window)
+	case !(o.MinShare >= 0 && o.MinShare <= 1):
+		return fmt.Errorf("advisor: min share %g outside [0, 1]", o.MinShare)
+	case o.MaxRecs < 0:
+		return fmt.Errorf("advisor: negative recommendation cap %d", o.MaxRecs)
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
 	if o.Window <= 0 {
 		o.Window = 16

@@ -5,14 +5,19 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dsprof/internal/advisor"
 	"dsprof/internal/analyzer"
+	"dsprof/internal/cc"
 	"dsprof/internal/core"
 	"dsprof/internal/machine"
 )
@@ -48,19 +53,24 @@ func (l *loopMemo) run(t *testing.T) *core.AdviseRun {
 	return run
 }
 
-// smokeLoop is the full closed loop at smoke scale: MCF at 120 trips on
-// the scaled machine, advice, and validation re-runs. Both MCF loop
-// tests share it.
-var smokeLoop = loopMemo{build: func() (*core.AdviseRun, error) {
+// smokeParams is the closed loop at smoke scale: MCF at 120 trips on
+// the scaled machine.
+func smokeParams() core.AdviseParams {
 	cfg := machine.ScaledConfig()
-	return core.Advise(context.Background(), core.AdviseParams{
+	return core.AdviseParams{
 		Study: core.StudyParams{
 			Workload: core.MCF, Size: 120, Seed: 20030717,
 			HWCProf: true, Machine: &cfg,
 		},
 		Intervals: core.MCF.Intervals(120),
 		Advisor:   advisor.Options{MaxRecs: 10},
-	})
+	}
+}
+
+// smokeLoop is the full closed loop at smoke scale: baseline, advice,
+// and validation re-runs. Every MCF loop test shares it.
+var smokeLoop = loopMemo{build: func() (*core.AdviseRun, error) {
+	return core.Advise(context.Background(), smokeParams())
 }}
 
 // checkCountGrading requires every re-run's After, the combined run's
@@ -188,4 +198,75 @@ func TestAdvisorReportByteIdentical(t *testing.T) {
 	// The whole loop report, validation verdicts and comparison
 	// included, is pinned across commits.
 	checkReportHash(t, run, "edad2a980c1526cc7077aec80e2f6bbc974ae32c750ae146ab2cb7076fbcac4e")
+}
+
+// TestAdvisorReportPrintsValidatedAdvice: the loop report prints the
+// advice the loop holds, made at the loop's own window and min share,
+// not the "advice" report's defaults re-derived from the baseline.
+func TestAdvisorReportPrintsValidatedAdvice(t *testing.T) {
+	run := smokeLoop.run(t)
+	adv, err := advisor.Analyze(run.Baseline, advisor.Options{Window: 2, MinShare: 0.3, MaxRecs: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep bytes.Buffer
+	narrow := &core.AdviseRun{Baseline: run.Baseline, Advice: adv, Valid: run.Valid}
+	if err := narrow.WriteReport(&rep, 10); err != nil {
+		t.Fatal(err)
+	}
+	out := rep.String()
+	head := fmt.Sprintf("Data-layout advice (metric ecstall, window 2, min share 30%%): %d recommendation(s)\n", len(adv.Recs))
+	if !strings.HasPrefix(out, head) {
+		t.Errorf("loop report does not start with %q:\n%s", head, out)
+	}
+	blocks := regexp.MustCompile(`(?m)^ ?[0-9]+\. `).FindAllString(out, -1)
+	if len(blocks) != len(adv.Recs) {
+		t.Errorf("loop report has %d recommendation blocks, want %d:\n%s", len(blocks), len(adv.Recs), out)
+	}
+}
+
+// TestAdvisorCancelledLoop: a loop whose context is cancelled returns
+// the context's error and simulates nothing. The baseline program never
+// halts, so a collect that ignored ctx would never return.
+func TestAdvisorCancelledLoop(t *testing.T) {
+	spin := &core.Workload{
+		Name: "spin", Layouts: []string{"spin"}, DefaultSize: 1,
+		Sources: func(int) []cc.Source {
+			return []cc.Source{{Name: "spin.mc", Text: "long main() { long i; i = 0; while (1) { i++; } return i; }\n"}}
+		},
+		Generate: func(int, uint64) []int64 { return nil },
+		Check:    func([]int64) error { return nil },
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := core.Advise(ctx, core.AdviseParams{Study: core.StudyParams{Workload: spin}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled loop returned %v, want an error wrapping context.Canceled", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("cancelled loop still simulating a program that never halts")
+	}
+}
+
+// TestAdvisorValidateCancelled: validation whose context ended returns
+// the context's error and no verdicts, not a rejection of every
+// recommendation.
+func TestAdvisorValidateCancelled(t *testing.T) {
+	run := smokeLoop.run(t)
+	target, err := smokeParams().Study.Target()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	v, err := advisor.Validate(ctx, target, run.Advice, run.Baseline)
+	if !errors.Is(err, context.Canceled) || v != nil {
+		t.Fatalf("cancelled Validate = %v, %v; want no validation and an error wrapping context.Canceled", v, err)
+	}
 }

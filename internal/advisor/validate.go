@@ -76,7 +76,9 @@ type Validation struct {
 // only if every verdict comes back accepted, since the combined set
 // then equals it. Otherwise the accepted overrides run once more after
 // the others. Each run is a deterministic function of its overrides, so
-// the result never depends on timing.
+// the result never depends on timing. A re-run that ctx cut short
+// proves nothing about its layout, so if ctx has ended when the runs
+// finish, Validate returns the context's error and no verdicts.
 func Validate(ctx context.Context, target Target, adv *Advice, base *analyzer.Analyzer) (*Validation, error) {
 	metric, err := hwc.ParseEvent(adv.Metric)
 	if err != nil {
@@ -91,6 +93,9 @@ func Validate(ctx context.Context, target Target, adv *Advice, base *analyzer.An
 		return runOverride(ctx, target, baseExp, metric, before, ovs, label, analyze)
 	}
 	v := validate(ctx, adv.Recs, runtime.GOMAXPROCS(0), run)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("advisor: validation cut short: %w", err)
+	}
 	v.Metric = metric
 	return v, nil
 }

@@ -14,7 +14,10 @@ import (
 // advise.go is the closed-loop advisor harness shared by cmd/dsadvise
 // and internal/profd: profile a baseline, run the data-layout advisor
 // over it, and validate every recommendation with a measured re-run.
-// Every bundled workload plugs into the same loop.
+// Every bundled workload plugs into the same loop. Advise collects the
+// baseline in process; AdviseFrom is the rest of the loop, for callers
+// that collect the baseline their own way (profd runs it as scheduler
+// jobs).
 
 // AdviseParams configure one closed advisor loop.
 type AdviseParams struct {
@@ -32,11 +35,8 @@ type AdviseRun struct {
 }
 
 // Advise runs the full closed loop on a bundled workload: baseline
-// two-experiment profile (the paper's A+B collection), a check of the
-// baseline's output, advisor analysis, and one validation re-run per
-// distinct override set plus a combined run. The workloads' output
-// vectors are layout invariant, so the validation's output-identity
-// gate applies unchanged.
+// two-experiment profile (the paper's A+B collection), then AdviseFrom.
+// The loop stops with the context's error as soon as ctx is cancelled.
 func Advise(ctx context.Context, p AdviseParams) (*AdviseRun, error) {
 	target, err := p.Study.Target()
 	if err != nil {
@@ -46,32 +46,45 @@ func Advise(ctx context.Context, p AdviseParams) (*AdviseRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, resA, _, err := ProfilePaperStyle(prog, target.Input, target.Machine, p.Intervals)
+	base, _, _, err := ProfilePaperStyle(ctx, prog, target.Input, target.Machine, p.Intervals)
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Study.Workload.Check(resA.Machine.OutputLongs()); err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	adv, err := advisor.Analyze(a, p.Advisor)
-	if err != nil {
-		return nil, err
-	}
-	valid, err := advisor.Validate(ctx, target, adv, a)
-	if err != nil {
-		return nil, err
-	}
-	return &AdviseRun{Baseline: a, Advice: adv, Valid: valid}, nil
+	return AdviseFrom(ctx, p, target, base)
 }
 
-// WriteReport renders the loop's report: the advice report (through the
-// analyzer's report registry, so it is byte-identical to erprint's and
-// profd's "advice" rendering) followed by the validation verdicts and
-// the before/after function comparison.
-func (r *AdviseRun) WriteReport(w io.Writer, topN int) error {
-	if err := r.Baseline.Render(w, "advice", analyzer.RenderOpts{TopN: topN}); err != nil {
-		return err
+// AdviseFrom finishes the loop from base, a baseline profile of the
+// program target builds for p's study: a check of every baseline
+// experiment's output (a failed run still profiles, and a re-run that
+// fails the same way would pass the output-identity gate), advisor
+// analysis, and one validation re-run per distinct override set plus a
+// combined run. The workloads' output vectors are layout invariant, so
+// the validation's output-identity gate applies unchanged.
+func AdviseFrom(ctx context.Context, p AdviseParams, target advisor.Target, base *analyzer.Analyzer) (*AdviseRun, error) {
+	for _, e := range base.Exps {
+		if err := p.Study.Workload.Check(e.Meta.Output); err != nil {
+			return nil, fmt.Errorf("baseline: %w", err)
+		}
 	}
+	adv, err := advisor.Analyze(base, p.Advisor)
+	if err != nil {
+		return nil, err
+	}
+	valid, err := advisor.Validate(ctx, target, adv, base)
+	if err != nil {
+		return nil, err
+	}
+	return &AdviseRun{Baseline: base, Advice: adv, Valid: valid}, nil
+}
+
+// WriteReport renders the loop's report: the advice the loop validated,
+// then the validation verdicts and the before/after function
+// comparison, whose rows topN bounds. At the advisor's default window
+// and min share, with Advisor.MaxRecs equal to a positive topN, the
+// advice block holds the bytes of the registry's "advice" report over
+// the baseline (erprint's and profd's rendering).
+func (r *AdviseRun) WriteReport(w io.Writer, topN int) error {
+	advisor.WriteAdvice(w, r.Advice)
 	fmt.Fprintln(w)
 	return r.Valid.Render(w, r.Baseline, topN)
 }

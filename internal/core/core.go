@@ -60,13 +60,13 @@ func Analyze(exps ...*experiment.Experiment) (*analyzer.Analyzer, error) {
 // read misses, experiment B with E$ references and DTLB misses, all with
 // apropos backtracking — then merges them in one analyzer. The two runs
 // are independent and execute concurrently; A's error is reported
-// first.
+// first. Both stop with the context's error as soon as ctx is
+// cancelled.
 //
 // The overflow intervals are chosen from the run length budget: pass the
 // expected total cycles (0 picks conservative defaults).
-func ProfilePaperStyle(prog *asm.Program, input []int64, cfg *machine.Config, intervals PaperIntervals) (*analyzer.Analyzer, *collect.Result, *collect.Result, error) {
+func ProfilePaperStyle(ctx context.Context, prog *asm.Program, input []int64, cfg *machine.Config, intervals PaperIntervals) (*analyzer.Analyzer, *collect.Result, *collect.Result, error) {
 	iv := intervals.WithDefaults()
-	ctx := context.Background()
 	specA, specB := iv.Specs()
 	var (
 		resB *collect.Result

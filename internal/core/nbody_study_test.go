@@ -27,7 +27,7 @@ func TestNBodyVariantStudy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, resA, resB, err := ProfilePaperStyle(prog, input, &cfg, iv)
+		_, resA, resB, err := ProfilePaperStyle(t.Context(), prog, input, &cfg, iv)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -111,7 +112,7 @@ func RunStudy(p StudyParams) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, resA, _, err := ProfilePaperStyle(prog, t.Input, t.Machine, PaperIntervals{})
+	a, resA, _, err := ProfilePaperStyle(context.TODO(), prog, t.Input, t.Machine, PaperIntervals{})
 	if err != nil {
 		return nil, err
 	}

@@ -3,29 +3,28 @@ package profd
 // advise.go runs the closed advisor loop as a service job: a baseline
 // two-experiment MCF collection through the ordinary scheduler (so the
 // runs share the worker pool, builder memo and store with every other
-// job), then the data-layout advisor and its validation re-runs. Both
-// baseline jobs are submitted before either is waited on, so a
-// multi-worker scheduler runs them together. The validation re-runs
-// execute in advisor.Validate, called from the adviser's goroutine, on
-// up to GOMAXPROCS goroutines of its own, outside the scheduler's
-// worker bound. The validation experiments are stored like any other,
-// one per distinct re-run, so the before/after profiles stay queryable
-// through the report API afterwards.
+// job), then core.AdviseFrom, the rest of the loop dsadvise runs: the
+// baseline output check, the data-layout advisor and its validation
+// re-runs. Both baseline jobs are submitted before either is waited on,
+// so a multi-worker scheduler runs them together. The validation
+// re-runs execute from the adviser's goroutine on up to GOMAXPROCS
+// goroutines of advisor.Validate's own, outside the scheduler's worker
+// bound; a job timeout that ends them fails the job. The validation
+// experiments are stored like any other, one per distinct re-run, so
+// the before/after profiles stay queryable through the report API
+// afterwards.
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dsprof/internal/advisor"
-	"dsprof/internal/analyzer"
 	"dsprof/internal/asm"
 	"dsprof/internal/core"
-	"dsprof/internal/experiment"
 )
 
 // AdviseSpec describes one advisor loop over the built-in MCF workload.
@@ -51,10 +50,17 @@ func (s *AdviseSpec) Validate() error {
 	if s.Trips < 0 {
 		return fmt.Errorf("profd: negative trips %d", s.Trips)
 	}
-	if s.Window < 0 || s.MinShare < 0 || s.MinShare > 1 || s.MaxRecs < 0 || s.TimeoutSec < 0 {
-		return errors.New("profd: advise parameters must be non-negative (minShare at most 1)")
+	if s.TimeoutSec < 0 {
+		return fmt.Errorf("profd: negative timeoutSec %g", s.TimeoutSec)
+	}
+	if err := s.options().Check(); err != nil {
+		return fmt.Errorf("profd: %w", err)
 	}
 	return nil
+}
+
+func (s *AdviseSpec) options() advisor.Options {
+	return advisor.Options{Window: s.Window, MinShare: s.MinShare, MaxRecs: s.MaxRecs}
 }
 
 func (s *AdviseSpec) withDefaults() AdviseSpec {
@@ -222,11 +228,23 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.TimeoutSec*float64(time.Second)))
 		defer cancel()
 	}
+	cfg, err := core.MachineConfig(spec.MachineConfig)
+	if err != nil {
+		return err
+	}
+	w := core.MCF
+	p := core.AdviseParams{
+		Study: core.StudyParams{
+			Workload: w, Layout: spec.Layout, Size: spec.Trips, Seed: spec.Seed,
+			HWCProf: true, Machine: &cfg,
+		},
+		Intervals: w.Intervals(spec.Trips),
+		Advisor:   spec.options(),
+	}
 
 	// Baseline: the paper's two-experiment collection, as ordinary
 	// scheduler jobs.
-	w := core.MCF
-	iv := w.Intervals(spec.Trips).WithDefaults()
+	iv := p.Intervals.WithDefaults()
 	base := JobSpec{
 		Program: w.Name, Layout: spec.Layout, Trips: spec.Trips, Seed: spec.Seed,
 		MachineConfig: spec.MachineConfig, TimeoutSec: spec.TimeoutSec,
@@ -259,48 +277,17 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 	j.baseIDs = ids
 	j.mu.Unlock()
 
-	// A failed baseline run still profiles; refuse it, as core.Advise
-	// does, before it gets advice or its re-runs pass the output gate.
-	dirs, err := ad.store.Dirs(ids[:1])
-	if err != nil {
-		return err
-	}
-	metaA, err := experiment.ReadMeta(dirs[0])
-	if err != nil {
-		return err
-	}
-	if err := w.Check(metaA.Output); err != nil {
-		return fmt.Errorf("profd: baseline: %w", err)
-	}
-
 	a, err := ad.store.Analyzer(ids)
 	if err != nil {
 		return err
 	}
-	adv, err := advisor.Analyze(a, advisor.Options{
-		Window: spec.Window, MinShare: spec.MinShare, MaxRecs: spec.MaxRecs,
-	})
+	target, err := p.Study.Target()
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	j.advice = adv
-	j.mu.Unlock()
-
-	cfg, err := core.MachineConfig(spec.MachineConfig)
+	run, err := core.AdviseFrom(ctx, p, target, a)
 	if err != nil {
-		return err
-	}
-	target, err := core.StudyParams{
-		Workload: w, Layout: spec.Layout, Size: spec.Trips, Seed: spec.Seed,
-		HWCProf: true, Machine: &cfg,
-	}.Target()
-	if err != nil {
-		return err
-	}
-	valid, err := advisor.Validate(ctx, target, adv, a)
-	if err != nil {
-		return err
+		return fmt.Errorf("profd: %w", err)
 	}
 
 	// Persist the validation runs so their profiles stay queryable; the
@@ -325,24 +312,21 @@ func (ad *Adviser) runLoop(j *AdviseJob) error {
 			validIDs = append(validIDs, rec.ID)
 		}
 	}
-	for i := range valid.Results {
-		r := &valid.Results[i]
+	for i := range run.Valid.Results {
+		r := &run.Valid.Results[i]
 		store(r, r.Rec.Kind+":"+r.Rec.Struct)
 	}
-	store(valid.Combined, "combined")
+	store(run.Valid.Combined, "combined")
 
 	var buf bytes.Buffer
-	if err := a.Render(&buf, "advice", analyzer.RenderOpts{TopN: spec.MaxRecs}); err != nil {
-		return err
-	}
-	fmt.Fprintln(&buf)
-	if err := valid.Render(&buf, a, spec.MaxRecs); err != nil {
+	if err := run.WriteReport(&buf, spec.MaxRecs); err != nil {
 		return err
 	}
 
 	j.mu.Lock()
+	j.advice = run.Advice
 	j.validIDs = validIDs
-	j.results = valid.Results
+	j.results = run.Valid.Results
 	j.report = buf.Bytes()
 	j.mu.Unlock()
 	return nil

@@ -283,41 +283,44 @@ func TestAdviseBaselineStoreKeys(t *testing.T) {
 
 // TestAdviseRefusesFailedBaseline: a baseline whose MCF run reports a
 // failure gets no advice and no validation runs, as in core.Advise. The
-// runner collects for real and then marks experiment A's status word
-// failed, so only the output check can refuse it.
+// runner collects for real and then marks one experiment's status word
+// failed, so only the output check can refuse it; either experiment's
+// failure refuses the baseline.
 func TestAdviseRefusesFailedBaseline(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := NewScheduler(store, SchedulerConfig{
-		Workers: 2,
-		Runner: func(ctx context.Context, spec *JobSpec) (*collect.Result, error) {
-			res, err := runTinyJob(ctx, spec)
-			if err == nil && spec.Clock { // experiment A
-				res.Exp.Meta.Output[0] = 1 // MCF status: not optimal
-			}
-			return res, err
-		},
-	})
-	t.Cleanup(sched.Close)
-	j, err := NewAdviser(sched, store).Submit(AdviseSpec{Trips: 60, MachineConfig: "scaled", MaxRecs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-j.Done():
-	case <-time.After(180 * time.Second):
-		t.Fatal("advise job did not finish")
-	}
-	st := j.Status()
-	if want := "baseline: mcf run failed with status 1"; st.State != JobFailed || !strings.Contains(st.Error, want) {
-		t.Fatalf("advise job %v (%q), want failed with %q", st.State, st.Error, want)
-	}
-	if st.Advice != nil || len(st.ValidationExps) != 0 {
-		t.Errorf("failed baseline still got advice %v and validation runs %v", st.Advice != nil, st.ValidationExps)
-	}
-	if n := store.Count(); n != 2 {
-		t.Errorf("store holds %d experiments, want the 2 baseline runs", n)
+	for _, failed := range []string{"A", "B"} {
+		store, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := NewScheduler(store, SchedulerConfig{
+			Workers: 2,
+			Runner: func(ctx context.Context, spec *JobSpec) (*collect.Result, error) {
+				res, err := runTinyJob(ctx, spec)
+				if err == nil && spec.Clock == (failed == "A") { // experiment A clocks, B does not
+					res.Exp.Meta.Output[0] = 1 // MCF status: not optimal
+				}
+				return res, err
+			},
+		})
+		t.Cleanup(sched.Close)
+		j, err := NewAdviser(sched, store).Submit(AdviseSpec{Trips: 60, MachineConfig: "scaled", MaxRecs: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(180 * time.Second):
+			t.Fatalf("experiment %s failed: advise job did not finish", failed)
+		}
+		st := j.Status()
+		if want := "baseline: mcf run failed with status 1"; st.State != JobFailed || !strings.Contains(st.Error, want) {
+			t.Errorf("experiment %s failed: advise job %v (%q), want failed with %q", failed, st.State, st.Error, want)
+		}
+		if st.Advice != nil || len(st.ValidationExps) != 0 {
+			t.Errorf("experiment %s failed: baseline still got advice %v and validation runs %v", failed, st.Advice != nil, st.ValidationExps)
+		}
+		if n := store.Count(); n != 2 {
+			t.Errorf("experiment %s failed: store holds %d experiments, want the 2 baseline runs", failed, n)
+		}
 	}
 }

@@ -142,6 +142,10 @@ func TestToolPipeline(t *testing.T) {
 	fails(2, "neg.txt", "erprint", "-n", "-1", "-o", "neg.txt", "pcs", "exp1.er")
 	fails(2, "neg.txt", "dsadvise", "advice", "-n", "-1", "-o", "neg.txt", "exp1.er", "exp2.er")
 	fails(2, "neg.txt", "dsadvise", "loop", "-n", "-1", "-size", "120", "-machine", "scaled", "-o", "neg.txt")
+	// So is an advisor option out of its range, not a silent default.
+	fails(2, "neg.txt", "dsadvise", "loop", "-window", "-1", "-size", "120", "-machine", "scaled", "-o", "neg.txt")
+	fails(2, "neg.txt", "dsadvise", "loop", "-minshare", "1.5", "-size", "120", "-machine", "scaled", "-o", "neg.txt")
+	fails(2, "neg.txt", "dsadvise", "loop", "-minshare", "NaN", "-size", "120", "-machine", "scaled", "-o", "neg.txt")
 
 	// STABS build refuses data-object attribution.
 	run("mcc", "-xhwcprof", "-xdebugformat=stabs", "-o", "mcf-stabs.obj", "mcf.mc")
